@@ -40,10 +40,12 @@ from .corpus import (
 from .errors import (
     CompositionError,
     DegenerateDataError,
+    FileFormatError,
     GramsemError,
     LexiconError,
     SpaceMismatchError,
     UngrammaticalError,
+    UnknownLabelError,
 )
 from .evaluation import (
     ExperimentReport,

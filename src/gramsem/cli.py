@@ -79,14 +79,8 @@ def cmd_build_verb(args) -> int:
         if record_arity != arity or any(n not in vectors for n in nouns if n):
             skipped += 1
             continue
-        if arity == 1:
-            occurrences.append(vectors[record.subject])
-        elif arity == 2:
-            occurrences.append((vectors[record.subject], vectors[record.obj]))
-        else:
-            occurrences.append(
-                (vectors[record.subject], vectors[record.obj], vectors[record.iobj])
-            )
+        occurrence = tuple(vectors[n] for n in nouns)
+        occurrences.append(occurrence[0] if arity == 1 else occurrence)
     builder = {
         1: corpus.build_intransitive_tensor,
         2: corpus.build_verb_tensor,

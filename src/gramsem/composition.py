@@ -23,8 +23,10 @@ from .vectorspace import (
     BasisRegistry,
     SemTensor,
     WeightedVector,
+    _kept,
     load_tensor,
     load_vectors,
+    pointwise_mul,
     save_tensor,
     save_vectors,
 )
@@ -116,18 +118,14 @@ def compose_transitive(
             c = verb.entries.get((i, j))
             if c is not None:
                 entries[(i, j)] = c * a * b
-    return SentenceMeaning(SemTensor(subj.space, 2, entries), SentenceSpace.N2)
+    return SentenceMeaning(SemTensor._trusted(subj.space, 2, _kept(entries)), SentenceSpace.N2)
 
 
 def compose_intransitive(subj: WeightedVector, verb: SemTensor) -> SentenceMeaning:
     """Meaning of subject-verb: entry i = C_i * subj_i, living in N itself."""
     _check_composable(verb, 1, subj)
-    entries = {}
-    for i, a in subj.entries.items():
-        c = verb.entries.get((i,))
-        if c is not None:
-            entries[(i,)] = c * a
-    return SentenceMeaning(SemTensor(subj.space, 1, entries), SentenceSpace.N)
+    meaning = pointwise_mul(subj, verb.to_vector())
+    return SentenceMeaning(SemTensor.from_vector(meaning), SentenceSpace.N)
 
 
 def compose_ditransitive(
@@ -142,7 +140,7 @@ def compose_ditransitive(
                 w = verb.entries.get((i, j, k))
                 if w is not None:
                     entries[(i, j, k)] = w * a * b * c
-    return SentenceMeaning(SemTensor(subj.space, 3, entries), SentenceSpace.N3)
+    return SentenceMeaning(SemTensor._trusted(subj.space, 3, _kept(entries)), SentenceSpace.N3)
 
 
 def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
@@ -153,12 +151,7 @@ def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
     """
     if adj.order == 1:
         _check_composable(adj, 1, noun)
-        entries = {}
-        for i, a in noun.entries.items():
-            c = adj.entries.get((i,))
-            if c is not None:
-                entries[i] = c * a
-        return WeightedVector(noun.space, entries)
+        return pointwise_mul(noun, adj.to_vector())
     if adj.order == 2:
         _check_composable(adj, 2, noun)
         entries: dict[int, float] = {}
@@ -166,7 +159,7 @@ def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
             a = noun.entries.get(j)
             if a is not None:
                 entries[i] = entries.get(i, 0.0) + c * a
-        return WeightedVector(noun.space, entries)
+        return WeightedVector._trusted(noun.space, _kept(entries))
     raise CompositionError(f"adjective tensors must have order 1 or 2, got {adj.order}")
 
 
@@ -180,6 +173,14 @@ def _check_composable(verb: SemTensor, order: int, *vectors: WeightedVector) -> 
             )
 
 
+def _pad(m: SentenceMeaning, order: int) -> SentenceMeaning:
+    """Copy ``m`` into the order-``order`` space, each added axis spanning the basis."""
+    axes = list(product(range(len(m.value.space)), repeat=order - m.value.order))
+    entries = {key + rest: w for key, w in sorted(m.value.entries.items()) for rest in axes}
+    padded = SemTensor._trusted(m.value.space, order, entries)
+    return SentenceMeaning(padded, _SPACE_BY_ORDER[order])
+
+
 def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
     """Pad an N meaning into the pair space: entry (i, j) = m_i for every j.
 
@@ -189,32 +190,14 @@ def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
     """
     if m.sentence_space is not SentenceSpace.N:
         raise CompositionError("only N meanings embed into the pair space")
-    dim = len(m.value.space)
-    entries = {
-        (i, j): w for (i,), w in sorted(m.value.entries.items()) for j in range(dim)
-    }
-    return SentenceMeaning(SemTensor(m.value.space, 2, entries), SentenceSpace.N2)
+    return _pad(m, 2)
 
 
 def embed_to_ditransitive(m: SentenceMeaning) -> SentenceMeaning:
     """Pad an N or pair-space meaning into the triple space the same way."""
-    dim = len(m.value.space)
-    if m.sentence_space is SentenceSpace.N:
-        entries = {
-            (i, j, k): w
-            for (i,), w in sorted(m.value.entries.items())
-            for j in range(dim)
-            for k in range(dim)
-        }
-    elif m.sentence_space is SentenceSpace.N2:
-        entries = {
-            (i, j, k): w
-            for (i, j), w in sorted(m.value.entries.items())
-            for k in range(dim)
-        }
-    else:
+    if m.sentence_space not in (SentenceSpace.N, SentenceSpace.N2):
         raise CompositionError("only N and N*N meanings embed into the triple space")
-    return SentenceMeaning(SemTensor(m.value.space, 3, entries), SentenceSpace.N3)
+    return _pad(m, 3)
 
 
 def align_orders(a: SentenceMeaning, b: SentenceMeaning) -> tuple[SentenceMeaning, SentenceMeaning]:
@@ -236,9 +219,6 @@ def align_orders(a: SentenceMeaning, b: SentenceMeaning) -> tuple[SentenceMeanin
 # recognized pattern and must match, which guards against dispatching a
 # string whose cancellations mean something else.
 # ---------------------------------------------------------------------------
-
-_NOUN = PregroupType((AtomicType("n"),))
-_ADJ = PregroupType((AtomicType("n"), AtomicType("n", -1)))
 
 
 def _verb_arity(typ: PregroupType, s_base: str, n_base: str) -> int | None:

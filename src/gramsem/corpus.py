@@ -23,9 +23,7 @@ from .vectorspace import (
     BasisRegistry,
     SemTensor,
     WeightedVector,
-    kronecker,
-    kronecker3,
-    tensor_add,
+    _kronecker_sum,
 )
 
 
@@ -191,24 +189,13 @@ def tfidf(acc: CountAccumulator) -> dict[str, WeightedVector]:
     return out
 
 
-def _zero_tensor(order: int, space: BasisRegistry | None, vectors: Sequence) -> SemTensor:
-    if vectors:
-        space = vectors[0].space if not isinstance(vectors[0], tuple) else vectors[0][0].space
-    if space is None:
-        raise ValueError("an empty occurrence list needs an explicit space")
-    return SemTensor(space, order, {})
-
-
 def build_verb_tensor(
     occurrences: Sequence[tuple[WeightedVector, WeightedVector]],
     *,
     space: BasisRegistry | None = None,
 ) -> SemTensor:
     """Transitive verb weights: the Kronecker-product sum subj_k (x) obj_k."""
-    total = _zero_tensor(2, space, occurrences)
-    for subj, obj in occurrences:
-        total = tensor_add(total, kronecker(subj, obj))
-    return total
+    return _kronecker_sum(2, occurrences, space)
 
 
 def build_ditransitive_tensor(
@@ -217,30 +204,21 @@ def build_ditransitive_tensor(
     space: BasisRegistry | None = None,
 ) -> SemTensor:
     """Ditransitive verb weights: sum of subj (x) obj (x) iobj products."""
-    total = _zero_tensor(3, space, occurrences)
-    for subj, obj, iobj in occurrences:
-        total = tensor_add(total, kronecker3(subj, obj, iobj))
-    return total
+    return _kronecker_sum(3, occurrences, space)
 
 
 def build_intransitive_tensor(
     subjects: Sequence[WeightedVector], *, space: BasisRegistry | None = None
 ) -> SemTensor:
     """Intransitive verb weights: the order-1 sum of its subject vectors."""
-    total = _zero_tensor(1, space, subjects)
-    for subj in subjects:
-        total = tensor_add(total, SemTensor.from_vector(subj))
-    return total
+    return _kronecker_sum(1, subjects, space)
 
 
 def build_adjective_tensor(
     arguments: Sequence[WeightedVector], *, space: BasisRegistry | None = None
 ) -> SemTensor:
     """Adjective weights in diagonal form: the order-1 sum of argument vectors."""
-    total = _zero_tensor(1, space, arguments)
-    for argument in arguments:
-        total = tensor_add(total, SemTensor.from_vector(argument))
-    return total
+    return _kronecker_sum(1, arguments, space)
 
 
 # ---------------------------------------------------------------------------

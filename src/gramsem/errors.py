@@ -23,3 +23,13 @@ class UngrammaticalError(CompositionError):
 
 class DegenerateDataError(GramsemError):
     """A statistic is undefined on the given data (e.g. constant score lists)."""
+
+
+class FileFormatError(GramsemError, ValueError):
+    """A malformed input file; the message starts with ``path:line``."""
+
+
+class UnknownLabelError(FileFormatError, KeyError):
+    """A file row names a basis label its space lacks."""
+
+    __str__ = BaseException.__str__  # KeyError's would quote the message

@@ -14,11 +14,11 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError
+from .errors import FileFormatError, SpaceMismatchError, UnknownLabelError
 
 PLAIN = "plain"
 STRUCTURED = "structured"
@@ -98,6 +98,17 @@ def _clean_entries(space: BasisRegistry, entries: Mapping[int, float]) -> dict[i
     return clean
 
 
+def _kept(entries: dict) -> dict:
+    """Check weights the library just computed from valid operands: reject
+    non-finite ones, drop zeros.  The keys are trusted, not checked again."""
+    if not all(map(math.isfinite, entries.values())):
+        key = next(k for k, w in entries.items() if not math.isfinite(w))
+        raise ValueError(f"non-finite weight {entries[key]!r} at {key}")
+    if 0.0 in entries.values():
+        return {k: w for k, w in entries.items() if w}
+    return entries
+
+
 @dataclass(frozen=True)
 class WeightedVector:
     """Sparse map basis-index -> weight, bound to one space.
@@ -111,6 +122,15 @@ class WeightedVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _clean_entries(self.space, self.entries))
+
+    @classmethod
+    def _trusted(cls, space: BasisRegistry, entries: dict[int, float]) -> "WeightedVector":
+        """Wrap a dict the library just built, keyed by indices valid in
+        ``space``, with finite nonzero float weights; nothing is re-checked,
+        so it never takes a mapping from a caller."""
+        v = object.__new__(cls)
+        v.__dict__.update(space=space, entries=entries)
+        return v
 
     @classmethod
     def from_labels(cls, space: BasisRegistry, weights: Mapping[str, float]) -> "WeightedVector":
@@ -130,10 +150,7 @@ class WeightedVector:
         return {self.space.label(i): w for i, w in sorted(self.entries.items())}
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(len(self.space))
-        for i, w in self.entries.items():
-            out[i] = w
-        return out
+        return SemTensor.from_vector(self).to_dense()
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -168,6 +185,13 @@ class SemTensor:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
+    def _trusted(cls, space: BasisRegistry, order: int, entries: dict) -> "SemTensor":
+        """As ``WeightedVector._trusted``, keys being ``order``-tuples of indices."""
+        t = object.__new__(cls)
+        t.__dict__.update(space=space, order=order, entries=entries)
+        return t
+
+    @classmethod
     def from_labels(
         cls, space: BasisRegistry, order: int, weights: Mapping[tuple[str, ...] | str, float]
     ) -> "SemTensor":
@@ -181,7 +205,7 @@ class SemTensor:
     @classmethod
     def from_vector(cls, v: WeightedVector) -> "SemTensor":
         """View a vector as an order-1 tensor over the same space."""
-        return cls(v.space, 1, {(i,): w for i, w in v.entries.items()})
+        return cls._trusted(v.space, 1, {(i,): w for i, w in v.entries.items()})
 
     def get(self, key: tuple[int, ...]) -> float:
         return self.entries.get(tuple(key), 0.0)
@@ -189,7 +213,7 @@ class SemTensor:
     def to_vector(self) -> WeightedVector:
         if self.order != 1:
             raise ValueError("only order-1 tensors convert to vectors")
-        return WeightedVector(self.space, {k[0]: w for k, w in self.entries.items()})
+        return WeightedVector._trusted(self.space, {k[0]: w for k, w in self.entries.items()})
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((len(self.space),) * self.order)
@@ -221,31 +245,34 @@ def _check_same_space(a: Sparse, b: Sparse) -> None:
         raise SpaceMismatchError(f"operand orders differ: {a_order} vs {b_order}")
 
 
-def _merged_sum(a: Mapping, b: Mapping) -> dict:
-    out = dict(a)
-    for k, w in b.items():
-        out[k] = out.get(k, 0.0) + w
-    return out
+def _like(v: Sparse, entries: dict) -> Sparse:
+    """A value of ``v``'s type, space and order holding freshly computed ``entries``."""
+    entries = _kept(entries)
+    if isinstance(v, SemTensor):
+        return SemTensor._trusted(v.space, v.order, entries)
+    return WeightedVector._trusted(v.space, entries)
 
 
-def add(v: WeightedVector, w: WeightedVector) -> WeightedVector:
-    """Component-wise sum of two vectors in the same space."""
+def add(v: Sparse, w: Sparse) -> Sparse:
+    """Component-wise sum of two vectors, or tensors of equal order, in one space."""
     _check_same_space(v, w)
-    return WeightedVector(v.space, _merged_sum(v.entries, w.entries))
+    total = dict(v.entries)
+    for k, x in w.entries.items():
+        total[k] = total.get(k, 0.0) + x
+    return _like(v, total)
 
 
-def pointwise_mul(v: WeightedVector, w: WeightedVector) -> WeightedVector:
+def pointwise_mul(v: Sparse, w: Sparse) -> Sparse:
     """Component-wise product; only indices present in both survive."""
     _check_same_space(v, w)
     small, big = (v.entries, w.entries) if len(v.entries) <= len(w.entries) else (w.entries, v.entries)
-    return WeightedVector(v.space, {i: a * big[i] for i, a in small.items() if i in big})
+    return _like(v, {i: a * big[i] for i, a in small.items() if i in big})
 
 
 def scale(v: Sparse, factor: float) -> Sparse:
     """Multiply every weight by ``factor``."""
-    if isinstance(v, SemTensor):
-        return SemTensor(v.space, v.order, {k: w * factor for k, w in v.entries.items()})
-    return WeightedVector(v.space, {i: w * factor for i, w in v.entries.items()})
+    factor = float(factor)
+    return _like(v, {k: w * factor for k, w in v.entries.items()})
 
 
 def inner(v: Sparse, w: Sparse) -> float:
@@ -260,8 +287,11 @@ def inner(v: Sparse, w: Sparse) -> float:
 
 
 def norm(v: Sparse) -> float:
-    """Euclidean length sqrt(<v, v>)."""
-    return math.sqrt(sum(w * w for _, w in sorted(v.entries.items())))
+    """Euclidean length sqrt(<v, v>), computed once per value and kept with it."""
+    length = v.__dict__.get("_norm")
+    if length is None:
+        length = v.__dict__["_norm"] = math.sqrt(sum(w * w for _, w in sorted(v.entries.items())))
+    return length
 
 
 def cosine(v: Sparse, w: Sparse) -> float:
@@ -282,41 +312,58 @@ def cosine(v: Sparse, w: Sparse) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _kronecker_sum(
+    order: int, occurrences: Sequence, space: BasisRegistry | None = None
+) -> SemTensor:
+    """Sum of the Kronecker products of each occurrence's ``order`` vectors (a
+    bare vector if ``order`` is 1), over the first occurrence's space or ``space``.
+
+    Sums in place, each key's products in occurrence order and each product
+    left to right: bitwise the fold of ``tensor_add`` over single products.
+    """
+    if occurrences:
+        space = (occurrences[0] if order == 1 else occurrences[0][0]).space
+    if space is None:
+        raise ValueError("an empty occurrence list needs an explicit space")
+    total: dict[tuple[int, ...], float] = {}
+    get = total.get
+    for occurrence in occurrences:
+        vectors = (occurrence,) if order == 1 else occurrence
+        if len(vectors) != order or any(
+            not isinstance(v, WeightedVector) or v.space != space for v in vectors
+        ):
+            raise SpaceMismatchError(f"an occurrence is not {order} vectors over {space.name!r}")
+        *heads, last = vectors
+        terms = [((), 1.0)]  # (key, product) over the vectors but the last
+        for v in heads:
+            factors = [((i,), a) for i, a in sorted(v.entries.items())]
+            terms = [(key + i, w * a) for key, w in terms for i, a in factors]
+        factors = [((i,), a) for i, a in sorted(last.entries.items())]
+        for prefix, w in terms:
+            for i, a in factors:
+                key = prefix + i
+                total[key] = get(key, 0.0) + w * a
+    return SemTensor._trusted(space, order, _kept(total))
+
+
 def kronecker(v: WeightedVector, w: WeightedVector) -> SemTensor:
     """Tensor product of two vectors: entry (i, j) = v_i * w_j."""
-    _check_same_space(v, w)
-    entries = {
-        (i, j): a * b
-        for i, a in sorted(v.entries.items())
-        for j, b in sorted(w.entries.items())
-    }
-    return SemTensor(v.space, 2, entries)
+    return _kronecker_sum(2, [(v, w)])
 
 
 def kronecker3(u: WeightedVector, v: WeightedVector, w: WeightedVector) -> SemTensor:
     """Order-3 tensor product: entry (i, j, k) = u_i * v_j * w_k."""
-    _check_same_space(u, v)
-    _check_same_space(u, w)
-    entries = {
-        (i, j, k): a * b * c
-        for i, a in sorted(u.entries.items())
-        for j, b in sorted(v.entries.items())
-        for k, c in sorted(w.entries.items())
-    }
-    return SemTensor(u.space, 3, entries)
+    return _kronecker_sum(3, [(u, v, w)])
 
 
 def tensor_add(a: SemTensor, b: SemTensor) -> SemTensor:
     """Component-wise sum of two tensors of equal order."""
-    _check_same_space(a, b)
-    return SemTensor(a.space, a.order, _merged_sum(a.entries, b.entries))
+    return add(a, b)
 
 
 def tensor_pointwise_mul(a: SemTensor, b: SemTensor) -> SemTensor:
     """Component-wise product of two tensors of equal order."""
-    _check_same_space(a, b)
-    small, big = (a.entries, b.entries) if len(a.entries) <= len(b.entries) else (b.entries, a.entries)
-    return SemTensor(a.space, a.order, {k: x * big[k] for k, x in small.items() if k in big})
+    return pointwise_mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +380,8 @@ def atomic_write(path: str | os.PathLike) -> Iterator:
     """Write to a temp file and rename into place; no partial file on failure."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"output directory {directory} does not exist")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
@@ -348,31 +397,29 @@ def _write_header(handle, space: BasisRegistry) -> None:
     handle.write(f"#space\t{space.name}\t{space.kind}\n")
 
 
-def _read_rows(
-    path: str | os.PathLike, space: BasisRegistry | None
-) -> tuple[tuple[str, str], list[str], list[list[str]]]:
+def _data_lines(path: str | os.PathLike, space: BasisRegistry) -> Iterator[tuple[int, str]]:
+    """Check the '#space' header against ``space``, then yield each later
+    non-empty line, comments included, with its line number."""
     with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        parts = first.rstrip("\n").split("\t")
-        if len(parts) != 3 or parts[0] != "#space":
-            raise ValueError(f"{path}: missing '#space' header line")
-        name, kind = parts[1], parts[2]
-        if space is not None and (space.name != name or space.kind != kind):
-            raise ValueError(
-                f"{path}: header names space {name!r} ({kind}), "
-                f"expected {space.name!r} ({space.kind})"
+        header = handle.readline().rstrip("\n").split("\t")
+        if header != ["#space", space.name, space.kind]:
+            raise FileFormatError(
+                f"{path}:1: header {' '.join(header)!r} is not '#space {space.name} {space.kind}'"
             )
-        rows = []
-        comments = []
-        for line in handle:
+        for lineno, line in enumerate(handle, 2):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            rows.append(line.split("\t"))
-        return (name, kind), comments, rows
+            if line:
+                yield lineno, line
+
+
+def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
+    try:
+        w = float(text)
+    except ValueError:
+        raise FileFormatError(f"{path}:{lineno}: weight {text!r} is not a number") from None
+    if not math.isfinite(w):
+        raise FileFormatError(f"{path}:{lineno}: non-finite weight {text!r}")
+    return w
 
 
 def save_vector(path: str | os.PathLike, v: WeightedVector) -> None:
@@ -383,16 +430,8 @@ def save_vector(path: str | os.PathLike, v: WeightedVector) -> None:
 
 
 def load_vector(path: str | os.PathLike, space: BasisRegistry) -> WeightedVector:
-    _, _, rows = _read_rows(path, space)
-    weights: dict[str, float] = {}
-    for row in rows:
-        if len(row) != 2:
-            raise ValueError(f"{path}: expected 'label<TAB>weight', got {row!r}")
-        label, w = row
-        if label in weights:
-            raise ValueError(f"{path}: duplicate label {label!r}")
-        weights[label] = float(w)
-    return WeightedVector.from_labels(space, weights)
+    """Read a ``label<TAB>weight`` file: the rows of an order-1 tensor file."""
+    return load_tensor(path, space, 1).to_vector()
 
 
 def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
@@ -404,24 +443,40 @@ def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
 
 
 def load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None = None) -> SemTensor:
-    _, comments, rows = _read_rows(path, space)
-    for comment in comments:
-        parts = comment.split("\t")
-        if len(parts) == 2 and parts[0] == "#order" and order is None:
-            order = int(parts[1])
-    if not rows and order is None:
-        raise ValueError(f"{path}: cannot infer order of an empty tensor file")
-    entries: dict[tuple[str, ...], float] = {}
-    for row in rows:
-        key, w = tuple(row[:-1]), float(row[-1])
-        if order is None:
-            order = len(key)
-        if len(key) != order:
-            raise ValueError(f"{path}: inconsistent arity in row {row!r}")
+    """Read a tensor file, checking each row once.  The order is ``order``, else
+    the '#order' line's, else the first row's; a '#order' line must agree."""
+    if order not in (None, 1, 2, 3):
+        raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
+    index = space._index
+    entries: dict[tuple[int, ...], float] = {}
+    zero = False
+    for lineno, line in _data_lines(path, space):
+        *labels, text = line.split("\t")
+        if line[0] == "#":
+            if labels == ["#order"]:
+                if order is None and text in ("1", "2", "3"):
+                    order = int(text)
+                elif text != str(order):
+                    raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
+            continue
+        if order is None and 1 <= len(labels) <= 3:
+            order = len(labels)
+        if len(labels) != order:
+            raise FileFormatError(f"{path}:{lineno}: expected {order or '1-3'} labels and a weight")
+        key = tuple([index.get(label, -1) for label in labels])
+        if -1 in key:
+            label = labels[key.index(-1)]
+            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
         if key in entries:
-            raise ValueError(f"{path}: duplicate entry {key!r}")
-        entries[key] = w
-    return SemTensor.from_labels(space, order, entries)
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
+        w = entries[key] = _weight(text, path, lineno)
+        if not w:
+            zero = True
+    if order is None:
+        raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
+    if zero:
+        entries = {k: w for k, w in entries.items() if w}
+    return SemTensor._trusted(space, order, entries)
 
 
 def save_vectors(
@@ -439,14 +494,28 @@ def save_vectors(
 
 
 def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:
-    _, _, rows = _read_rows(path, space)
-    weights: dict[str, dict[str, float]] = {}
-    for row in rows:
+    """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
+    index = space._index
+    weights: dict[str, dict[int, float]] = {}
+    zero = False
+    for lineno, line in _data_lines(path, space):
+        if line[0] == "#":
+            continue
+        row = line.split("\t")
         if len(row) != 3:
-            raise ValueError(f"{path}: expected 'word<TAB>label<TAB>weight', got {row!r}")
-        word, label, w = row
-        per_word = weights.setdefault(word, {})
-        if label in per_word:
-            raise ValueError(f"{path}: duplicate entry for {word!r}/{label!r}")
-        per_word[label] = float(w)
-    return {word: WeightedVector.from_labels(space, ws) for word, ws in weights.items()}
+            raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
+        word, label, text = row
+        i = index.get(label)
+        if i is None:
+            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
+        per_word = weights.get(word)
+        if per_word is None:
+            per_word = weights[word] = {}
+        elif i in per_word:
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry for {word!r}/{label!r}")
+        w = per_word[i] = _weight(text, path, lineno)
+        if not w:
+            zero = True
+    if zero:
+        weights = {word: {i: w for i, w in ws.items() if w} for word, ws in weights.items()}
+    return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}

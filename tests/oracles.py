@@ -19,6 +19,7 @@ from gramsem.pregroup import (
     cancels,
     parse_type,
 )
+from gramsem.vectorspace import SemTensor
 
 # --- exhaustive pregroup cancellation ---------------------------------------
 
@@ -79,3 +80,32 @@ def oracle_spearman(xs, ys):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+# --- Kronecker sums by their definition ----------------------------------------
+
+
+def oracle_kronecker(vectors, space):
+    """One Kronecker product entry by entry, each weight its factors'
+    product taken left to right, through the validating constructor."""
+    entries = {}
+    for combo in itertools.product(*(v.entries.items() for v in vectors)):
+        w = combo[0][1]
+        for _, factor in combo[1:]:
+            w = w * factor
+        entries[tuple(i for i, _ in combo)] = w
+    return SemTensor(space, len(vectors), entries)
+
+
+def oracle_kronecker_sum(order, occurrences, space):
+    """What the verb/adjective builders define: the running sum plus one
+    product per occurrence (an order-1 occurrence is a bare vector), each
+    step rebuilt through the validating constructor as ``tensor_add`` was."""
+    total = SemTensor(space, order, {})
+    for occurrence in occurrences:
+        vectors = (occurrence,) if order == 1 else occurrence
+        merged = dict(total.entries)
+        for key, w in oracle_kronecker(vectors, space).entries.items():
+            merged[key] = merged.get(key, 0.0) + w
+        total = SemTensor(space, order, merged)
+    return total

@@ -363,3 +363,82 @@ def test_no_partial_outputs_on_failure(tiny_world, capsys):
     assert not (tiny_world / "missing").exists()
     leftovers = [p for p in tiny_world.iterdir() if p.suffix == ".part"]
     assert leftovers == []
+
+
+# --- malformed semantics files: one line naming path:line, exit 1 -------------
+
+
+@pytest.fixture
+def toy_world(tmp_path):
+    """The structured toy space saved as a semantics directory, with a
+    lexicon and a two-pair dataset, ready for sim and eval."""
+    from fixtures import TOY_LABELS, TOY_NOUNS, TOY_SPACE, toy_chase, toy_vector
+    from gramsem.composition import LexicalSemantics, save_semantics
+    from gramsem.pregroup import save_lexicon, standard_lexicon
+
+    (tmp_path / "basis.txt").write_text("".join(f"{x}\n" for x in TOY_LABELS), encoding="utf-8")
+    lex = LexicalSemantics(
+        TOY_SPACE, {name: toy_vector(name) for name in TOY_NOUNS}, {"chase": toy_chase()}
+    )
+    save_semantics(tmp_path / "sem", lex)
+    save_lexicon(tmp_path / "lexicon.tsv", standard_lexicon(nouns=TOY_NOUNS, transitive=["chase"]))
+    (tmp_path / "dataset.tsv").write_text(
+        "p1\tdogs chase cats\tcats chase dogs\t6\tHIGH\n"
+        "p2\tdogs chase cats\tbankers chase stock\t2\tLOW\n",
+        encoding="utf-8",
+    )
+    return tmp_path
+
+
+def query(capsys, world, command):
+    common = ("--lexicon", str(world / "lexicon.tsv"), "--basis", str(world / "basis.txt"),
+              "--semantics-dir", str(world / "sem"))
+    if command == "sim":
+        return run(capsys, "sim", "dogs chase cats", "cats chase dogs", *common)
+    return run(capsys, "eval", "--dataset", str(world / "dataset.tsv"), "--model", "categorical",
+               *common)
+
+
+BAD_ROWS = {
+    # case: (row appended to nouns.tsv, row appended to verbs/chase.tsv, message part)
+    "unknown label": ("mice\targ-nope\t1.0", "arg-nope\targ-fluffy\t1.0", "'arg-nope' not in space"),
+    "non-numeric weight": ("mice\targ-fluffy\tlots", "obj-buys\tobj-buys\tlots", "not a number"),
+    "infinite weight": ("mice\targ-fluffy\tinf", "obj-buys\tobj-buys\t-inf", "non-finite"),
+    "nan weight": ("mice\targ-fluffy\tnan", "obj-buys\tobj-buys\tnan", "non-finite"),
+    "field count": ("mice\targ-fluffy", "obj-buys\t1.0", "expected"),
+    "duplicate entry": ("dogs\targ-fluffy\t1.0", "arg-fluffy\targ-fluffy\t2.0", "duplicate"),
+}
+
+
+@pytest.mark.parametrize("command", ["sim", "eval"])
+@pytest.mark.parametrize("which", ["nouns.tsv", "verbs/chase.tsv"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_malformed_semantics_row_names_path_and_line(toy_world, capsys, case, which, command):
+    noun_row, tensor_row, message = BAD_ROWS[case]
+    path = toy_world / "sem" / which
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write((noun_row if which == "nouns.tsv" else tensor_row) + "\n")
+    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    code, out, err = query(capsys, toy_world, command)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"gramsem: {path}:{lineno}: ") and message in err
+
+
+def test_sim_and_eval_run_on_the_toy_world(toy_world, capsys):
+    assert query(capsys, toy_world, "sim")[0] == 0
+    assert query(capsys, toy_world, "eval")[0] == 0
+
+
+def test_missing_output_directory_is_named(tiny_world, capsys):
+    missing = tiny_world / "missing"
+    code, _, err = run(
+        capsys,
+        "build-nouns",
+        "--corpus", str(tiny_world / "corpus.txt"),
+        "--basis", str(tiny_world / "basis.txt"),
+        "--out", str(missing / "nouns.tsv"),
+    )
+    assert code == 1 and err == f"gramsem: output directory {missing} does not exist\n"
+    assert not missing.exists()
+    assert [p for p in tiny_world.iterdir() if p.suffix == ".part"] == []

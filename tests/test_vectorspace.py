@@ -326,3 +326,19 @@ def test_atomic_write_leaves_nothing_on_failure(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_load_tensor_checks_the_order_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    save_tensor(path, SemTensor(SPACE2, 2, {(0, 1): 1.5}))
+    assert load_tensor(path, SPACE2, 2) == load_tensor(path, SPACE2)
+    for wrong in (1, 3):
+        with pytest.raises(ValueError, match=f"{path}:2: order 2 is not {wrong}"):
+            load_tensor(path, SPACE2, wrong)
+    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+        load_tensor(path, SPACE2, 4)
+    path.write_text("#space\ttwo\tplain\n#order\t5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:2: order 5 is not 1-3"):
+        load_tensor(path, SPACE2)
+    path.write_text("#space\ttwo\tplain\n#order\t1\n", encoding="utf-8")
+    assert load_tensor(path, SPACE2) == SemTensor(SPACE2, 1, {})
