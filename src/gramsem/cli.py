@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import composition, corpus, evaluation, pregroup, vectorspace
-from .errors import GramsemError
+from .errors import DegenerateDataError, GramsemError
 
 _ALL_MODELS = list(evaluation.MODELS)
 
@@ -53,7 +53,10 @@ def cmd_build_nouns(args) -> int:
     vectors = corpus.tfidf(acc) if args.weighting == "tfidf" else corpus.raw_vectors(acc)
     out = args.out or "nouns.tsv"
     vectorspace.save_vectors(out, vectors, space)
-    _summary(documents=len(documents), targets=len(targets), written=out)
+    # A target with no nonzero weight writes no row: later commands treat it
+    # as out of vocabulary, so say how many there were.
+    zero = len(targets) - sum(1 for v in vectors.values() if not v.is_zero())
+    _summary(documents=len(documents), targets=len(targets), zero_vectors=zero, written=out)
     return 0
 
 
@@ -130,12 +133,27 @@ def cmd_sim(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score each model on its own: a model whose correlation is undefined is
+    reported and left out, and the run fails only when no model scored."""
     space = _space_from(args.basis, args.semantics_dir)
     lex = composition.load_semantics(args.semantics_dir, space)
     grammar = pregroup.load_lexicon(args.lexicon)
     dataset = evaluation.read_dataset(args.dataset)
     models = args.model or _ALL_MODELS
-    report = evaluation.run_experiment(dataset, models, lex, grammar)
+    scores = {}
+    degenerate = []
+    for model in models:
+        try:
+            report = evaluation.run_experiment(dataset, [model], lex, grammar)
+        except DegenerateDataError as exc:
+            print(f"gramsem: {model}: {exc}", file=sys.stderr)
+            degenerate.append(model)
+            continue
+        scores.update(report.scores)
+    _summary(models=len(models), scored=len(scores), degenerate=",".join(degenerate))
+    if not scores:
+        return 1
+    report = evaluation.ExperimentReport(scores)
     print(report.table())
     if args.out:
         with vectorspace.atomic_write(args.out) as handle:

@@ -13,6 +13,7 @@ triples and adjective-argument records arrive pre-parsed.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -96,25 +97,26 @@ def count_cooccurrence(
     if window < 1:
         raise ValueError("window must be >= 1")
     target_set = set(targets)
+    index_of = basis._index.get
+    rows: defaultdict[str, Counter] = defaultdict(Counter)
+    doc_frequency: Counter = Counter()
     acc = CountAccumulator(basis)
     for tokens in documents:
         acc.doc_count += 1
-        seen: set[int] = set()
+        # One lookup per token; None marks a token outside the basis and is
+        # counted like any index, then dropped once at the end.
+        ids = [index_of(token) for token in tokens]
+        doc_frequency.update(set(ids))
         for position, token in enumerate(tokens):
-            if token in basis:
-                seen.add(basis.index(token))
-            if token not in target_set:
-                continue
-            lo = max(0, position - window)
-            hi = min(len(tokens), position + window + 1)
-            for neighbour in range(lo, hi):
-                if neighbour == position:
-                    continue
-                context = tokens[neighbour]
-                if context in basis:
-                    acc.bump(token, basis.index(context))
-        for i in seen:
-            acc.doc_frequency[i] = acc.doc_frequency.get(i, 0) + 1
+            if token in target_set:
+                left = ids[max(0, position - window):position]
+                rows[token].update(left + ids[position + 1:position + window + 1])
+    for token, row in rows.items():
+        row.pop(None, None)
+        if row:
+            acc.counts[token] = dict(row)
+    doc_frequency.pop(None, None)
+    acc.doc_frequency = dict(doc_frequency)
     return acc
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .composition import LexicalSemantics, align_orders, compose_sentence
+from .composition import LexicalSemantics, _choose_types, align_orders, compose_sentence
 from .errors import CompositionError, DegenerateDataError
 from .pregroup import Lexicon, PregroupType, AtomicType
 from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
@@ -76,18 +76,27 @@ class ExperimentReport:
 def _word_roles(
     words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str
 ) -> list[tuple[str, str]]:
-    """Tag each word noun/adj/verb from its (first) lexicon type."""
+    """Tag each word noun/adj/verb.
+
+    The verb is the word whose type, as chosen for the whole string by the
+    reduction ``compose_sentence`` uses, carries ``s``, so every model agrees
+    on it.  Any other word keeps its lexical role, from its first type
+    without ``s``: a noun used as a modifier still folds by its noun vector.
+    """
+    types, _ = _choose_types(words, grammar, s_base, n_base)
+    adjective = PregroupType((AtomicType(n_base), AtomicType(n_base, -1)))
+
+    def is_verb(typ: PregroupType) -> bool:
+        return any(a.base == s_base for a in typ.atoms)
+
     roles = []
-    for word in words:
-        typ = grammar.types_for(word)[0]
-        if typ == PregroupType((AtomicType(n_base),)):
-            roles.append((word, "noun"))
-        elif typ == PregroupType((AtomicType(n_base), AtomicType(n_base, -1))):
-            roles.append((word, "adj"))
-        elif any(a.base == s_base for a in typ.atoms):
-            roles.append((word, "verb"))
+    for word, chosen in zip(words, types):
+        if is_verb(chosen):
+            role = "verb"
         else:
-            roles.append((word, "noun"))
+            lexical = next(t for t in grammar.types_for(word) if not is_verb(t))
+            role = "adj" if lexical == adjective else "noun"
+        roles.append((word, role))
     return roles
 
 
@@ -154,7 +163,11 @@ def model_similarity(
     s_base: str = "s",
     n_base: str = "n",
 ) -> float:
-    """Similarity of the pair's sentences under one model, in [-1, 1]."""
+    """Similarity of the pair's sentences under one model, in [-1, 1].
+
+    Every model reads the sentences' grammar: a sentence whose types reduce
+    to neither a sentence nor a noun phrase raises ``UngrammaticalError``.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if verb_folding not in ("auto", "tensor", "vector"):

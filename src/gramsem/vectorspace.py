@@ -14,9 +14,10 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import FileFormatError, SpaceMismatchError, UnknownLabelError
 
@@ -216,6 +217,8 @@ class SemTensor:
         return WeightedVector._trusted(self.space, {k[0]: w for k, w in self.entries.items()})
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np  # the only numpy use: kept off every import path
+
         out = np.zeros((len(self.space),) * self.order)
         for key, w in self.entries.items():
             out[key] = w

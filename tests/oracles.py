@@ -9,6 +9,7 @@ import itertools
 import math
 from functools import lru_cache
 
+from gramsem.corpus import CountAccumulator
 from gramsem.pregroup import (
     ADJECTIVE,
     DITRANSITIVE_VERB,
@@ -109,3 +110,32 @@ def oracle_kronecker_sum(order, occurrences, space):
             merged[key] = merged.get(key, 0.0) + w
         total = SemTensor(space, order, merged)
     return total
+
+
+# --- window counting by its definition ------------------------------------------
+
+
+def oracle_count_cooccurrence(documents, targets, basis, window):
+    """Window co-occurrence counts by definition, one neighbour at a time,
+    each looked up in the basis on its own."""
+    target_set = set(targets)
+    acc = CountAccumulator(basis)
+    for tokens in documents:
+        acc.doc_count += 1
+        seen = set()
+        for position, token in enumerate(tokens):
+            if token in basis:
+                seen.add(basis.index(token))
+            if token not in target_set:
+                continue
+            lo = max(0, position - window)
+            hi = min(len(tokens), position + window + 1)
+            for neighbour in range(lo, hi):
+                if neighbour == position:
+                    continue
+                context = tokens[neighbour]
+                if context in basis:
+                    acc.bump(token, basis.index(context))
+        for i in seen:
+            acc.doc_frequency[i] = acc.doc_frequency.get(i, 0) + 1
+    return acc

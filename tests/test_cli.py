@@ -442,3 +442,97 @@ def test_missing_output_directory_is_named(tiny_world, capsys):
     assert code == 1 and err == f"gramsem: output directory {missing} does not exist\n"
     assert not missing.exists()
     assert [p for p in tiny_world.iterdir() if p.suffix == ".part"] == []
+
+
+# --- degenerate models and zero vectors are reported, not fatal ----------------
+
+
+@pytest.fixture
+def disjoint_world(tmp_path, capsys):
+    """Seven words whose subjects, verbs and objects share no context word, so
+    ``multiply`` scores every pair 0 and ``verb_baseline`` compares the same
+    two verbs in every pair: both correlations are undefined."""
+    (tmp_path / "corpus.txt").write_text(
+        "dog a1 a2\ncat a1\nchase b1 b2\nbite b2\nball c1\nbone c1 c2\ntoy c2\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "basis.txt").write_text("a1\na2\nb1\nb2\nc1\nc2\n", encoding="utf-8")
+    (tmp_path / "triples.tsv").write_text(
+        "dog\tchase\tball\ncat\tchase\tbone\ndog\tbite\tbone\ncat\tbite\ttoy\n", encoding="utf-8"
+    )
+    (tmp_path / "lexicon.tsv").write_text(
+        "".join(f"{noun}\tn\n" for noun in ("dog", "cat", "ball", "bone", "toy"))
+        + "chase\tn^r s n^l\nbite\tn^r s n^l\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "dataset.tsv").write_text(
+        "p1\tdog chase ball\tdog bite ball\t6\tHIGH\n"
+        "p2\tcat chase bone\tcat bite bone\t2\tLOW\n"
+        "p3\tdog chase bone\tdog bite bone\t5\tHIGH\n"
+        "p4\tcat chase toy\tcat bite toy\t1\tLOW\n",
+        encoding="utf-8",
+    )
+    sem = tmp_path / "sem"
+    sem.mkdir()
+    common = ("--basis", str(tmp_path / "basis.txt"), "--semantics-dir", str(sem))
+    assert run(capsys, "build-nouns", "--corpus", str(tmp_path / "corpus.txt"),
+               "--basis", str(tmp_path / "basis.txt"), "--window", "2",
+               "--weighting", "raw", "--out", str(sem / "nouns.tsv"))[0] == 0
+    for verb in ("chase", "bite"):
+        assert run(capsys, "build-verb", verb, "--triples", str(tmp_path / "triples.tsv"),
+                   *common)[0] == 0
+    return tmp_path, ("--dataset", str(tmp_path / "dataset.tsv"),
+                      "--lexicon", str(tmp_path / "lexicon.tsv"), *common)
+
+
+def test_eval_leaves_out_degenerate_models(disjoint_world, capsys):
+    world, args = disjoint_world
+    report_path = world / "report.tsv"
+    code, out, err = run(capsys, "eval", *args, "--out", str(report_path))
+    assert code == 0
+    assert "gramsem: multiply: correlation undefined on constant input\n" in err
+    assert "gramsem: verb_baseline: correlation undefined on constant input\n" in err
+    fields = summary_fields(err)
+    assert fields["degenerate"] == "multiply,verb_baseline"
+    assert fields["models"] == "5" and fields["scored"] == "3"
+    table_models = [line.split()[0] for line in out.splitlines()[1:]]
+    assert table_models == ["categorical", "add", "weighted_add"]
+    rows = report_path.read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["model", *table_models]
+
+
+def test_eval_fails_only_when_no_model_scored(disjoint_world, capsys):
+    world, args = disjoint_world
+    report_path = world / "report.tsv"
+    code, out, err = run(capsys, "eval", *args, "--model", "multiply", "--out", str(report_path))
+    assert code == 1 and out == ""
+    assert err.startswith("gramsem: multiply: correlation undefined on constant input\n")
+    assert summary_fields(err) == {"models": "1", "scored": "0", "degenerate": "multiply"}
+    assert not report_path.exists()
+    assert [p for p in world.iterdir() if p.suffix == ".part"] == []
+
+
+def test_build_nouns_counts_zero_vectors(tmp_path, capsys):
+    # 'common' occurs in every document, so its idf is 0: dog, cat and naps,
+    # which see no other basis word, get all-zero vectors and write no row
+    (tmp_path / "corpus.txt").write_text(
+        "dog common\ncat common\nnaps common bird\n", encoding="utf-8"
+    )
+    (tmp_path / "basis.txt").write_text("naps\ncommon\n", encoding="utf-8")
+    out_path = tmp_path / "nouns.tsv"
+    code, _, err = run(capsys, "build-nouns", "--corpus", str(tmp_path / "corpus.txt"),
+                       "--basis", str(tmp_path / "basis.txt"), "--out", str(out_path))
+    assert code == 0
+    fields = summary_fields(err)
+    assert fields["targets"] == "5" and fields["zero_vectors"] == "3"
+    assert list(fields) == ["documents", "targets", "zero_vectors", "written"]
+    space = read_basis(tmp_path / "basis.txt", name="N")
+    assert sorted(load_vectors(out_path, space)) == ["bird", "common"]
+    # a target that never sees a basis word has no counts at all: it counts too
+    (tmp_path / "corpus.txt").write_text("dog common\nnaps common bird far\n", encoding="utf-8")
+    code, _, err = run(capsys, "build-nouns", "--corpus", str(tmp_path / "corpus.txt"),
+                       "--basis", str(tmp_path / "basis.txt"), "--out", str(out_path),
+                       "--weighting", "raw", "--window", "1")
+    assert code == 0
+    assert summary_fields(err)["zero_vectors"] == "1"
+    assert "far" not in load_vectors(out_path, space)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import SAMPLE_SPACE, sample_vector, show_occurrences, show_oracle_entry
+from oracles import oracle_count_cooccurrence
 from gramsem.corpus import (
     CountAccumulator,
     TripleRecord,
@@ -90,6 +93,30 @@ def test_window_counting_validation():
         count_cooccurrence([], ["a"], PLAIN_SPACE, window=0)
     with pytest.raises(ValueError):
         count_cooccurrence([], ["a"], PROP_SPACE, window=1)
+
+
+# Basis words that are also targets, basis-only words, targets outside the
+# basis, tokens that are neither, and a target that never occurs.
+COUNT_SPACE = BasisRegistry("ctx", ("b", "c", "d", "e"))
+COUNT_TOKENS = ("b", "c", "d", "e", "a", "f", "x", "y")
+COUNT_TARGETS = ("b", "c", "a", "f", "ghost")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    documents=st.lists(st.lists(st.sampled_from(COUNT_TOKENS), max_size=14), max_size=6),
+    targets=st.sets(st.sampled_from(COUNT_TARGETS)),
+    window=st.integers(1, 6),
+)
+def test_window_counting_equals_the_neighbour_loop(documents, targets, window):
+    acc = count_cooccurrence(documents, targets, COUNT_SPACE, window)
+    expected = oracle_count_cooccurrence(documents, targets, COUNT_SPACE, window)
+    assert acc.counts == expected.counts
+    assert acc.doc_frequency == expected.doc_frequency
+    assert acc.doc_count == expected.doc_count
+    assert all(type(row) is dict for row in acc.counts.values())
+    assert all(type(c) is int for row in acc.counts.values() for c in row.values())
+    assert all(type(c) is int for c in acc.doc_frequency.values())
 
 
 # --- property counting ----------------------------------------------------------

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from oracles import oracle_ranks, oracle_spearman
 from gramsem.benchmark import two_sense_benchmark
 from gramsem.composition import LexicalSemantics
-from gramsem.errors import CompositionError, DegenerateDataError
+from gramsem.errors import CompositionError, DegenerateDataError, UngrammaticalError
 from gramsem.evaluation import (
     HIGH,
     LOW,
+    MODELS,
     SentencePair,
+    _word_roles,
     average_ranks,
     high_low_means,
     model_similarity,
@@ -24,7 +26,7 @@ from gramsem.evaluation import (
     save_dataset,
     spearman_rho,
 )
-from gramsem.pregroup import standard_lexicon
+from gramsem.pregroup import Lexicon, parse_type, standard_lexicon
 from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector
 
 
@@ -299,3 +301,30 @@ def test_dataset_file_round_trip(tmp_path, world):
     path.write_text("id\tone sentence\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_dataset(path)
+
+
+# --- word roles follow the reduction -------------------------------------------------
+
+
+def test_ambiguous_verb_is_found_by_the_reduction(world):
+    # 'charge' also listed as a noun, before its verb type: every model must
+    # still take it as the verb, as the categorical model does
+    entries = dict(world.grammar.entries)
+    entries["charge"] = (parse_type("n"), *entries["charge"])
+    ambiguous = Lexicon(entries)
+    expected = run_experiment(world.dataset, MODELS, world.lex, world.grammar)
+    report = run_experiment(world.dataset, MODELS, world.lex, ambiguous)
+    assert report.scores == expected.scores
+
+
+def test_noun_modifier_keeps_its_noun_role(world):
+    grammar = Lexicon({**world.grammar.entries, "stone": (parse_type("n"), parse_type("n n^l"))})
+    roles = _word_roles(("stone", "knight", "charge", "enemy"), grammar, "s", "n")
+    assert roles == [("stone", "noun"), ("knight", "noun"), ("charge", "verb"), ("enemy", "noun")]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_rejects_a_string_that_does_not_reduce(world, model):
+    pair = SentencePair("x", ("charge", "knight", "enemy"), ("knight", "storm", "enemy"))
+    with pytest.raises(UngrammaticalError):
+        model_similarity(pair, model, world.lex, world.grammar)
