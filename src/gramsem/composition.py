@@ -107,40 +107,51 @@ class LexicalSemantics:
 _SPACE_BY_ORDER = {1: SentenceSpace.N, 2: SentenceSpace.N2, 3: SentenceSpace.N3}
 
 
+def contract(verb: SemTensor, *args: WeightedVector) -> SentenceMeaning:
+    """Apply a verb tensor to its arguments, subject first.
+
+    Entry (i, j, ...) = C_ij... * a_i * b_j * ..., multiplied left to right,
+    keyed in the arguments' own entry order; the meaning lives in N, N*N or
+    N*N*N as the verb has one, two or three arguments.
+    """
+    _check_composable(verb, len(args), *args)
+    *heads, last = args
+    prefixes = [((), ())]  # (key, factors) over the arguments but the last
+    for v in heads:
+        prefixes = [(key + (i,), factors + (a,)) for key, factors in prefixes
+                    for i, a in v.entries.items()]
+    ends = [((j,), b) for j, b in last.entries.items()]  # key suffixes, built once
+    get = verb.entries.get
+    entries = {}
+    for prefix, factors in prefixes:
+        for end, b in ends:
+            key = prefix + end
+            c = get(key)
+            if c is not None:
+                for a in factors:
+                    c = c * a
+                entries[key] = c * b
+    meaning = SemTensor._trusted(verb.space, len(args), _kept(entries))
+    return SentenceMeaning(meaning, _SPACE_BY_ORDER[len(args)])
+
+
 def compose_transitive(
     subj: WeightedVector, verb: SemTensor, obj: WeightedVector
 ) -> SentenceMeaning:
     """Meaning of subject-verb-object: entry (i, j) = C_ij * subj_i * obj_j."""
-    _check_composable(verb, 2, subj, obj)
-    entries = {}
-    for i, a in subj.entries.items():
-        for j, b in obj.entries.items():
-            c = verb.entries.get((i, j))
-            if c is not None:
-                entries[(i, j)] = c * a * b
-    return SentenceMeaning(SemTensor._trusted(subj.space, 2, _kept(entries)), SentenceSpace.N2)
+    return contract(verb, subj, obj)
 
 
 def compose_intransitive(subj: WeightedVector, verb: SemTensor) -> SentenceMeaning:
     """Meaning of subject-verb: entry i = C_i * subj_i, living in N itself."""
-    _check_composable(verb, 1, subj)
-    meaning = pointwise_mul(subj, verb.to_vector())
-    return SentenceMeaning(SemTensor.from_vector(meaning), SentenceSpace.N)
+    return contract(verb, subj)
 
 
 def compose_ditransitive(
     subj: WeightedVector, verb: SemTensor, obj: WeightedVector, iobj: WeightedVector
 ) -> SentenceMeaning:
     """Meaning with two objects: entry (i, j, k) = C_ijk * subj_i * obj_j * iobj_k."""
-    _check_composable(verb, 3, subj, obj, iobj)
-    entries = {}
-    for i, a in subj.entries.items():
-        for j, b in obj.entries.items():
-            for k, c in iobj.entries.items():
-                w = verb.entries.get((i, j, k))
-                if w is not None:
-                    entries[(i, j, k)] = w * a * b * c
-    return SentenceMeaning(SemTensor._trusted(subj.space, 3, _kept(entries)), SentenceSpace.N3)
+    return contract(verb, subj, obj, iobj)
 
 
 def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
@@ -213,33 +224,22 @@ def align_orders(a: SentenceMeaning, b: SentenceMeaning) -> tuple[SentenceMeanin
 
 
 # ---------------------------------------------------------------------------
-# Whole-sentence composition over the grammatical patterns used in practice:
-# [Adj* N] V [Adj* N] [Adj* N] for verbs of arity 1-3, plus bare Adj* N
-# noun phrases.  The reduction's contraction plan is recomputed from the
-# recognized pattern and must match, which guards against dispatching a
-# string whose cancellations mean something else.
+# Whole-sentence composition: the reduction's links say which noun phrase
+# feeds which slot of the verb tensor, and which modifiers apply to which
+# noun.
 # ---------------------------------------------------------------------------
 
 
+def _shape(typ: PregroupType) -> list[tuple[str, int]]:
+    """A type as (base, adjoint order) pairs, which compare faster than atoms."""
+    return [(a.base, a.adjoint_order) for a in typ.atoms]
+
+
 def _verb_arity(typ: PregroupType, s_base: str, n_base: str) -> int | None:
-    atoms = typ.atoms
-    if len(atoms) < 2 or atoms[0] != AtomicType(n_base, 1) or atoms[1] != AtomicType(s_base, 0):
-        return None
-    tail = atoms[2:]
-    if any(a != AtomicType(n_base, -1) for a in tail) or len(tail) > 2:
-        return None
-    return 1 + len(tail)
-
-
-def _classify(typ: PregroupType, s_base: str, n_base: str) -> tuple[str, int]:
-    if typ == PregroupType((AtomicType(n_base),)):
-        return ("noun", 0)
-    if typ == PregroupType((AtomicType(n_base), AtomicType(n_base, -1))):
-        return ("adj", 0)
-    arity = _verb_arity(typ, s_base, n_base)
-    if arity is not None:
-        return ("verb", arity)
-    raise CompositionError(f"unsupported word type for composition: {typ}")
+    """1-3 for the verb types ``n^r s``, ``n^r s n^l`` and ``n^r s n^l n^l``, else None."""
+    arity = len(typ.atoms) - 1
+    pattern = [(n_base, 1), (s_base, 0)] + [(n_base, -1)] * (arity - 1)
+    return arity if 1 <= arity <= 3 and _shape(typ) == pattern else None
 
 
 def _choose_types(
@@ -259,22 +259,51 @@ def _choose_types(
     raise UngrammaticalError(f"{' '.join(words)!r} does not reduce to a sentence or noun phrase")
 
 
-def _expected_links(groups: list[list[int]], verb: int | None, offsets: list[int]) -> set[tuple[int, int]]:
-    """Cup links the recognized pattern must produce, over flattened atoms."""
-    links: set[tuple[int, int]] = set()
-    heads = []
-    for group in groups:
-        *adjectives, noun = group
-        for word in adjectives:
-            links.add((offsets[word] + 1, offsets[word + 1]))
-        heads.append(offsets[group[0]])
-    if verb is not None:
-        links.add((heads[0], offsets[verb]))
-        # The verb's n^l atoms cancel inside-out: its last atom takes the
-        # first object, the one before it the second object.
-        for slot, head in enumerate(heads[1:]):
-            links.add((offsets[verb + 1] - 1 - slot, head))
-    return links
+def _plan(
+    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str
+) -> tuple[int | None, list[list[int]]]:
+    """Read the slot plan off the links of the reduction ``compose_sentence`` uses.
+
+    Returns the verb's position (``None`` for a bare noun phrase) and the
+    positions of each argument noun phrase, subject first and then the
+    objects in slot order, each phrase listing its modifiers left to right
+    and then its noun.  The verb owns the one unlinked atom; the partner of
+    its ``n^r`` atom heads the subject and the partners of its ``n^l``
+    atoms, last atom first, head the objects.  From a phrase's head each
+    modifier's ``n^l`` partner leads to the next word, until a noun.
+    Raises ``CompositionError`` for any other shape.
+    """
+    types, reduction = _choose_types(words, grammar, s_base, n_base)
+    noun, modifier = [(n_base, 0)], [(n_base, 0), (n_base, -1)]
+    owner, first = [], []  # the word of each atom, the first atom of each word
+    for word, typ in enumerate(types):
+        first.append(len(owner))
+        owner += [word] * len(typ.atoms)
+    partner = {}
+    for i, j in reduction.links:
+        partner[i], partner[j] = j, i
+    (root,) = (a for a in range(len(owner)) if a not in partner)
+
+    def phrase(head: int) -> list[int]:
+        word = owner[head]  # a head is the plain n atom, the first of n and of n n^l
+        shape = _shape(types[word])
+        if shape not in (noun, modifier):
+            raise CompositionError("unsupported sentence pattern")
+        return [word] if shape == noun else [word] + phrase(partner[head + 1])
+
+    if is_sentence(reduction, s_base):
+        verb = owner[root]
+        arity = _verb_arity(types[verb], s_base, n_base)
+        if arity is None:
+            raise CompositionError(f"unsupported verb type for composition: {types[verb]}")
+        last = first[verb] + len(types[verb]) - 1
+        heads = [partner[first[verb]]] + [partner[last - k] for k in range(arity - 1)]
+    else:
+        verb, heads = None, [root]
+    phrases = [phrase(head) for head in heads]
+    if sum(map(len, phrases)) + (verb is not None) != len(words):
+        raise CompositionError("unsupported sentence pattern")
+    return verb, phrases
 
 
 def compose_sentence(
@@ -293,58 +322,19 @@ def compose_sentence(
     """
     if not words:
         raise CompositionError("cannot compose an empty word sequence")
-    types, reduction = _choose_types(words, grammar, s_base, n_base)
-    roles = [_classify(t, s_base, n_base) for t in types]
+    verb, phrases = _plan(words, grammar, s_base, n_base)
 
-    offsets = []
-    total = 0
-    for t in types:
-        offsets.append(total)
-        total += len(t.atoms)
-
-    groups: list[list[int]] = []
-    verb: int | None = None
-    arity = 0
-    pending: list[int] = []
-    for position, (role, info) in enumerate(roles):
-        if role == "adj":
-            pending.append(position)
-        elif role == "noun":
-            groups.append(pending + [position])
-            pending = []
-        else:
-            if verb is not None or pending:
-                raise CompositionError("unsupported sentence pattern")
-            verb = position
-            arity = info
-    if pending:
-        raise CompositionError("dangling adjective without a noun")
-    expected_groups = 0 if verb is None else arity
-    if verb is None:
-        if len(groups) != 1:
-            raise CompositionError("unsupported sentence pattern")
-    elif len(groups) != expected_groups or verb != len(groups[0]):
-        raise CompositionError("unsupported sentence pattern")
-
-    if set(reduction.links) != _expected_links(groups, verb, offsets):
-        raise CompositionError("contraction plan does not match the recognized pattern")
-
-    def noun_vector(group: list[int]) -> WeightedVector:
-        *adjectives, noun = group
+    def noun_vector(phrase: list[int]) -> WeightedVector:
+        *adjectives, noun = phrase
         vector = lex.vector(words[noun])
         for adjective in reversed(adjectives):
             vector = compose_adjective(lex.tensor(words[adjective]), vector)
         return vector
 
-    arguments = [noun_vector(g) for g in groups]
+    arguments = [noun_vector(p) for p in phrases]
     if verb is None:
         return SentenceMeaning(SemTensor.from_vector(arguments[0]), SentenceSpace.N)
-    tensor = lex.tensor(words[verb], order=arity)
-    if arity == 1:
-        return compose_intransitive(arguments[0], tensor)
-    if arity == 2:
-        return compose_transitive(arguments[0], tensor, arguments[1])
-    return compose_ditransitive(arguments[0], tensor, arguments[1], arguments[2])
+    return contract(lex.tensor(words[verb], order=len(arguments)), *arguments)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import SpaceMismatchError
+from .errors import FileFormatError, SpaceMismatchError
 from .vectorspace import (
     PLAIN,
     STRUCTURED,
@@ -249,12 +249,14 @@ def read_triples(path) -> list[TripleRecord]:
                 continue
             parts = line.split("\t")
             if not 2 <= len(parts) <= 4:
-                raise ValueError(f"{path}:{lineno}: expected 2-4 tab-separated fields")
+                raise FileFormatError(f"{path}:{lineno}: expected 2-4 tab-separated fields")
             parts += [""] * (4 - len(parts))
             subject, verb, obj, iobj = parts
-            records.append(
-                TripleRecord(subject, verb, obj or None, iobj or None)
-            )
+            try:
+                record = TripleRecord(subject, verb, obj or None, iobj or None)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+            records.append(record)
     return records
 
 
@@ -267,7 +269,7 @@ def read_adjective_pairs(path) -> list[tuple[str, str]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected 'adjective<TAB>argument'")
+                raise FileFormatError(f"{path}:{lineno}: expected 'adjective<TAB>argument'")
             pairs.append((parts[0], parts[1]))
     return pairs
 

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .composition import LexicalSemantics, _choose_types, align_orders, compose_sentence
-from .errors import CompositionError, DegenerateDataError
+from .composition import LexicalSemantics, _plan, align_orders, compose_sentence
+from .errors import CompositionError, DegenerateDataError, FileFormatError
 from .pregroup import Lexicon, PregroupType, AtomicType
 from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
 
@@ -78,23 +78,21 @@ def _word_roles(
 ) -> list[tuple[str, str]]:
     """Tag each word noun/adj/verb.
 
-    The verb is the word whose type, as chosen for the whole string by the
-    reduction ``compose_sentence`` uses, carries ``s``, so every model agrees
-    on it.  Any other word keeps its lexical role, from its first type
-    without ``s``: a noun used as a modifier still folds by its noun vector.
+    The verb is the one ``compose_sentence``'s slot plan finds, so every
+    model agrees on it and rejects the strings it rejects.  Any other word
+    keeps its lexical role, from its first type without ``s``: a noun used
+    as a modifier still folds by its noun vector.
     """
-    types, _ = _choose_types(words, grammar, s_base, n_base)
+    verb, _ = _plan(words, grammar, s_base, n_base)
     adjective = PregroupType((AtomicType(n_base), AtomicType(n_base, -1)))
-
-    def is_verb(typ: PregroupType) -> bool:
-        return any(a.base == s_base for a in typ.atoms)
-
     roles = []
-    for word, chosen in zip(words, types):
-        if is_verb(chosen):
+    for position, word in enumerate(words):
+        if position == verb:
             role = "verb"
         else:
-            lexical = next(t for t in grammar.types_for(word) if not is_verb(t))
+            lexical = next(
+                t for t in grammar.types_for(word) if all(a.base != s_base for a in t.atoms)
+            )
             role = "adj" if lexical == adjective else "noun"
         roles.append((word, role))
     return roles
@@ -145,10 +143,10 @@ def _folded(
 
 
 def _the_verb(words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str) -> str:
-    verbs = [w for w, role in _word_roles(words, grammar, s_base, n_base) if role == "verb"]
-    if len(verbs) != 1:
-        raise CompositionError(f"expected exactly one verb in {' '.join(words)!r}")
-    return verbs[0]
+    verb, _ = _plan(words, grammar, s_base, n_base)
+    if verb is None:
+        raise CompositionError(f"expected a verb in {' '.join(words)!r}")
+    return words[verb]
 
 
 def model_similarity(
@@ -165,8 +163,10 @@ def model_similarity(
 ) -> float:
     """Similarity of the pair's sentences under one model, in [-1, 1].
 
-    Every model reads the sentences' grammar: a sentence whose types reduce
-    to neither a sentence nor a noun phrase raises ``UngrammaticalError``.
+    Every model reads the sentences' grammar through one slot plan: a
+    sentence whose types reduce to neither a sentence nor a noun phrase
+    raises ``UngrammaticalError``, and one whose links are not a verb with
+    its noun phrases, or one noun phrase, raises ``CompositionError``.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
@@ -324,18 +324,20 @@ def read_dataset(path) -> list[SentencePair]:
                 continue
             parts = line.split("\t")
             if not 3 <= len(parts) <= 5:
-                raise ValueError(f"{path}:{lineno}: expected 3-5 tab-separated fields")
+                raise FileFormatError(f"{path}:{lineno}: expected 3-5 tab-separated fields")
             parts += [""] * (5 - len(parts))
             pair_id, s1, s2, rating, tag = parts
-            rows.append(
-                SentencePair(
+            try:
+                row = SentencePair(
                     pair_id,
                     tuple(s1.split()),
                     tuple(s2.split()),
                     float(rating) if rating else None,
                     tag or None,
                 )
-            )
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+            rows.append(row)
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Pregroup types, linear reduction of typed word sequences, contraction plans.
+"""Pregroup types, lexicons and the linear reduction of typed word sequences.
 
 A type is a sequence of atoms ``base^z`` where the integer z counts adjoint
 steps: 0 is the plain type, +1 the right adjoint (written ``n^r``), -1 the
@@ -175,16 +175,20 @@ def standard_lexicon(
 
 def load_lexicon(path) -> Lexicon:
     """Read a ``word<TAB>type`` file; repeated words accumulate assignments."""
-    pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[str, PregroupType]] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].rstrip()
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[0]:
                 raise LexiconError(f"{path}:{lineno}: expected 'word<TAB>type'")
-            pairs.append((parts[0], parts[1]))
+            try:
+                typ = parse_type(parts[1])
+            except LexiconError as exc:
+                raise LexiconError(f"{path}:{lineno}: {exc}") from None
+            pairs.append((parts[0], typ))
     return Lexicon.from_pairs(pairs)
 
 
@@ -220,9 +224,6 @@ class ReductionResult:
             tuple(a for pos, a in enumerate(self.atoms) if pos not in linked)
         )
         object.__setattr__(self, "residual", residual)
-
-
-ContractionPlan = tuple[tuple[int, int], ...]
 
 
 def cancels(x: AtomicType, y: AtomicType) -> bool:

@@ -217,7 +217,10 @@ class SemTensor:
         return WeightedVector._trusted(self.space, {k[0]: w for k, w in self.entries.items()})
 
     def to_dense(self) -> np.ndarray:
-        import numpy as np  # the only numpy use: kept off every import path
+        try:
+            import numpy as np  # the only numpy use: kept off every import path
+        except ImportError:
+            raise ImportError("to_dense needs numpy: pip install 'gramsem[test]'") from None
 
         out = np.zeros((len(self.space),) * self.order)
         for key, w in self.entries.items():

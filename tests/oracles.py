@@ -112,6 +112,24 @@ def oracle_kronecker_sum(order, occurrences, space):
     return total
 
 
+# --- a verb tensor applied to its arguments, by definition -------------------------
+
+
+def oracle_contract(verb, *args):
+    """Every combination of argument entries, each argument in its own
+    order: the tensor entry at their indices times their weights, left to
+    right, through the validating constructor."""
+    entries = {}
+    for combo in itertools.product(*(v.entries.items() for v in args)):
+        key = tuple(i for i, _ in combo)
+        if key in verb.entries:
+            w = verb.entries[key]
+            for _, a in combo:
+                w = w * a
+            entries[key] = w
+    return SemTensor(verb.space, len(args), entries)
+
+
 # --- window counting by its definition ------------------------------------------
 
 

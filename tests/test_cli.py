@@ -536,3 +536,39 @@ def test_build_nouns_counts_zero_vectors(tmp_path, capsys):
     assert code == 0
     assert summary_fields(err)["zero_vectors"] == "1"
     assert "far" not in load_vectors(out_path, space)
+
+
+READER_FAULTS = {
+    # case: (input file, row appended to it, subcommand that reads it)
+    "rating not a number": ("dataset", "bad\tknight charge enemy\tknight storm enemy\tx\tHIGH", "eval"),
+    "rating out of range": ("dataset", "bad\tknight charge enemy\tknight storm enemy\t9\tHIGH", "eval"),
+    "unknown tag": ("dataset", "bad\tknight charge enemy\tknight storm enemy\t5\tMID", "eval"),
+    "malformed type": ("lexicon", "foe\tn^q", "sim"),
+    "empty subject": ("triples", "\tcharge\tenemy", "build-verb"),
+    "indirect object without object": ("triples", "knight\tcharge\t\tenemy", "build-verb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_FAULTS))
+def test_malformed_input_row_names_path_and_line(benchmark_files, tmp_path, capsys, case):
+    _, paths = benchmark_files
+    key, row, command = READER_FAULTS[case]
+    path = tmp_path / os.path.basename(paths[key])
+    with open(paths[key], encoding="utf-8") as handle:
+        text = handle.read() + row + "\n"
+    path.write_text(text, encoding="utf-8")
+    lineno = len(text.splitlines())
+    files = {**paths, key: str(path)}
+    common = ("--basis", files["basis"], "--semantics-dir", files["semantics"])
+    if command == "eval":
+        argv = ("eval", "--dataset", files["dataset"], "--lexicon", files["lexicon"], *common)
+    elif command == "sim":
+        argv = ("sim", "knight charge enemy", "knight storm enemy", "--lexicon", files["lexicon"],
+                *common)
+    else:
+        argv = ("build-verb", "charge", "--triples", files["triples"], *common,
+                "--out", str(tmp_path / "charge.tsv"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"gramsem: {path}:{lineno}: ")

@@ -328,3 +328,27 @@ def test_every_model_rejects_a_string_that_does_not_reduce(world, model):
     pair = SentencePair("x", ("charge", "knight", "enemy"), ("knight", "storm", "enemy"))
     with pytest.raises(UngrammaticalError):
         model_similarity(pair, model, world.lex, world.grammar)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_rejects_a_shape_the_composer_rejects(model):
+    # 'x y' cancels on its own beside 'dogs sleep', so the string reduces to
+    # [s], but x and y fill no slot of the verb: no model may score it
+    space = BasisRegistry("xy", ("a", "b"))
+    grammar = Lexicon({w: (parse_type(t),) for w, t in
+                       {"x": "n", "y": "n^r", "dogs": "n", "cats": "n", "sleep": "n^r s"}.items()})
+    vectors = {w: WeightedVector(space, {0: 1.0, 1: float(k)}) for k, w in
+               enumerate(("x", "y", "dogs", "cats", "sleep"), 1)}
+    lex = LexicalSemantics(space, vectors, {"sleep": SemTensor(space, 1, {(0,): 2.0, (1,): 1.0})})
+    pair = SentencePair("x", ("x", "y", "dogs", "sleep"), ("cats", "sleep"))
+    with pytest.raises(CompositionError, match="unsupported"):
+        model_similarity(pair, model, lex, grammar)
+
+
+def test_word_roles_take_the_verb_from_the_slot_plan():
+    # 'run' is listed as a noun first: its role still follows the parse,
+    # in which it is the verb, and 'dogs run' as a noun phrase has no verb
+    grammar = Lexicon({"dogs": (parse_type("n"), parse_type("n n^l")),
+                       "run": (parse_type("n"), parse_type("n^r s"))})
+    assert _word_roles(("dogs", "run"), grammar, "s", "n") == [("dogs", "noun"), ("run", "verb")]
+    assert _word_roles(("run",), grammar, "s", "n") == [("run", "noun")]

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import gramsem
 from gramsem.benchmark import two_sense_benchmark
 
@@ -51,3 +53,13 @@ def test_cli_commands_never_import_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "numpy modules: []" in result.stdout
     assert (tmp_path / "report.tsv").exists()
+
+
+def test_to_dense_names_the_extra_when_numpy_is_missing(monkeypatch):
+    from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector
+
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` raise ImportError
+    space = BasisRegistry("x", ("a", "b"))
+    for value in (SemTensor(space, 2, {(0, 1): 1.0}), WeightedVector(space, {0: 1.0})):
+        with pytest.raises(ImportError, match=r"gramsem\[test\]"):
+            value.to_dense()
