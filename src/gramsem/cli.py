@@ -29,7 +29,7 @@ def _space_from(basis_path: str, semantics_dir: str | None) -> vectorspace.Basis
     if semantics_dir:
         nouns_path = os.path.join(semantics_dir, "nouns.tsv")
         if os.path.exists(nouns_path):
-            with open(nouns_path, encoding="utf-8") as handle:
+            with vectorspace.open_text(nouns_path) as handle:
                 parts = handle.readline().rstrip("\n").split("\t")
             if len(parts) == 3 and parts[0] == "#space":
                 name, kind = parts[1], parts[2]
@@ -142,9 +142,10 @@ def cmd_eval(args) -> int:
     models = args.model or _ALL_MODELS
     scores = {}
     degenerate = []
+    memo: dict = {}  # shared by the models: each verb pair and fold is scored once
     for model in models:
         try:
-            report = evaluation.run_experiment(dataset, [model], lex, grammar)
+            report = evaluation.run_experiment(dataset, [model], lex, grammar, memo=memo)
         except DegenerateDataError as exc:
             print(f"gramsem: {model}: {exc}", file=sys.stderr)
             degenerate.append(model)

@@ -25,6 +25,7 @@ from .vectorspace import (
     SemTensor,
     WeightedVector,
     _kronecker_sum,
+    open_text,
 )
 
 
@@ -232,7 +233,7 @@ def build_adjective_tensor(
 
 def read_corpus(path) -> list[list[str]]:
     documents = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line in handle:
             tokens = line.split()
             if tokens:
@@ -242,7 +243,7 @@ def read_corpus(path) -> list[list[str]]:
 
 def read_triples(path) -> list[TripleRecord]:
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -262,7 +263,7 @@ def read_triples(path) -> list[TripleRecord]:
 
 def read_adjective_pairs(path) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -275,14 +276,20 @@ def read_adjective_pairs(path) -> list[tuple[str, str]]:
 
 
 def read_basis(path, name: str | None = None, kind: str = PLAIN) -> BasisRegistry:
-    labels = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
+    first_line: dict[str, int] = {}  # label -> the line it is on, in file order
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, 1):
             label = line.strip()
-            if label and not label.startswith("#"):
-                labels.append(label)
+            if not label or label.startswith("#"):
+                continue
+            if label in first_line:
+                raise FileFormatError(
+                    f"{path}:{lineno}: duplicate basis label {label!r},"
+                    f" first on line {first_line[label]}"
+                )
+            first_line[label] = lineno
     if name is None:
         import os
 
         name = os.path.splitext(os.path.basename(path))[0]
-    return BasisRegistry(name, tuple(labels), kind)
+    return BasisRegistry(name, tuple(first_line), kind)

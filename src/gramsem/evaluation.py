@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .composition import LexicalSemantics, _plan, align_orders, compose_sentence
 from .errors import CompositionError, DegenerateDataError, FileFormatError
 from .pregroup import Lexicon, PregroupType, AtomicType
-from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
+from .vectorspace import WeightedVector, add, cosine, open_text, pointwise_mul, scale
 
 MODELS = ("categorical", "add", "multiply", "weighted_add", "verb_baseline")
 HIGH = "HIGH"
@@ -124,11 +124,16 @@ def _folded(
     grammar: Lexicon,
     combine: str,
     verb_folding: str,
-    alpha: float = 0.5,
-    beta: float = 0.5,
-    s_base: str = "s",
-    n_base: str = "n",
+    alpha: float,
+    beta: float,
+    s_base: str,
+    n_base: str,
+    memo: dict,
 ) -> WeightedVector:
+    key = ("fold", combine, words, verb_folding, alpha, beta, s_base, n_base)
+    out = memo.get(key)
+    if out is not None:
+        return out
     roles = _word_roles(words, grammar, s_base, n_base)
     parts = []
     for word, role in roles:
@@ -139,14 +144,36 @@ def _folded(
     out = parts[0]
     for v in parts[1:]:
         out = pointwise_mul(out, v) if combine == "multiply" else add(out, v)
+    memo[key] = out
     return out
 
 
-def _the_verb(words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str) -> str:
-    verb, _ = _plan(words, grammar, s_base, n_base)
+def _the_verb(
+    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str, memo: dict
+) -> str:
+    key = ("verb", words, s_base, n_base)
+    verb = memo.get(key)
     if verb is None:
-        raise CompositionError(f"expected a verb in {' '.join(words)!r}")
-    return words[verb]
+        position, _ = _plan(words, grammar, s_base, n_base)
+        if position is None:
+            raise CompositionError(f"expected a verb in {' '.join(words)!r}")
+        verb = memo[key] = words[position]
+    return verb
+
+
+def _verb_cosine(v1: str, v2: str, lex: LexicalSemantics, verb_folding: str, memo: dict) -> float:
+    """The verb baseline: cosine of the verbs' tensors when their orders agree,
+    else of their plain vectors."""
+    key = ("verb_baseline", v1, v2, verb_folding)
+    value = memo.get(key)
+    if value is None:
+        t1, t2 = lex.tensors.get(v1), lex.tensors.get(v2)
+        if verb_folding != "vector" and t1 is not None and t2 is not None and t1.order == t2.order:
+            value = cosine(t1, t2)
+        else:
+            value = cosine(lex.vector(v1), lex.vector(v2))
+        memo[key] = value
+    return value
 
 
 def model_similarity(
@@ -160,6 +187,7 @@ def model_similarity(
     verb_folding: str = "auto",
     s_base: str = "s",
     n_base: str = "n",
+    memo: dict | None = None,
 ) -> float:
     """Similarity of the pair's sentences under one model, in [-1, 1].
 
@@ -167,11 +195,21 @@ def model_similarity(
     sentence whose types reduce to neither a sentence nor a noun phrase
     raises ``UngrammaticalError``, and one whose links are not a verb with
     its noun phrases, or one noun phrase, raises ``CompositionError``.
+
+    ``memo`` is a dict shared by the calls of one run, for one ``lex`` and
+    ``grammar``: it keeps each sentence's verb, each folded sentence vector
+    and each verb-pair cosine, keyed by every option they depend on.  The
+    composed meanings of the categorical model are not kept.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if verb_folding not in ("auto", "tensor", "vector"):
         raise ValueError(f"unknown verb_folding {verb_folding!r}")
+    if memo is None:
+        memo = {}
+    owner = memo.setdefault("semantics", (lex, grammar))
+    if owner[0] is not lex or owner[1] is not grammar:
+        raise ValueError("a memo serves one lexical semantics and one grammar")
     s1, s2 = pair.sentence_1, pair.sentence_2
     if model == "categorical":
         m1 = compose_sentence(s1, lex, grammar, s_base, n_base)
@@ -179,15 +217,11 @@ def model_similarity(
         m1, m2 = align_orders(m1, m2)
         return cosine(m1.value, m2.value)
     if model == "verb_baseline":
-        v1 = _the_verb(s1, grammar, s_base, n_base)
-        v2 = _the_verb(s2, grammar, s_base, n_base)
-        t1, t2 = lex.tensors.get(v1), lex.tensors.get(v2)
-        if verb_folding != "vector" and t1 is not None and t2 is not None and t1.order == t2.order:
-            return cosine(t1, t2)
-        return cosine(lex.vector(v1), lex.vector(v2))
-    combine = {"add": "add", "multiply": "multiply", "weighted_add": "weighted_add"}[model]
-    f1 = _folded(s1, lex, grammar, combine, verb_folding, alpha, beta, s_base, n_base)
-    f2 = _folded(s2, lex, grammar, combine, verb_folding, alpha, beta, s_base, n_base)
+        v1 = _the_verb(s1, grammar, s_base, n_base, memo)
+        v2 = _the_verb(s2, grammar, s_base, n_base, memo)
+        return _verb_cosine(v1, v2, lex, verb_folding, memo)
+    f1 = _folded(s1, lex, grammar, model, verb_folding, alpha, beta, s_base, n_base, memo)
+    f2 = _folded(s2, lex, grammar, model, verb_folding, alpha, beta, s_base, n_base, memo)
     return cosine(f1, f2)
 
 
@@ -276,12 +310,14 @@ def run_experiment(
     annotator_mode: str = "mean",
     s_base: str = "s",
     n_base: str = "n",
+    memo: dict | None = None,
 ) -> ExperimentReport:
     """Score every pair under every model and correlate with the gold ratings.
 
     With several annotator rows per pair, ``annotator_mode="mean"``
     correlates against per-pair rating means and ``"pooled"`` repeats each
-    pair's score once per individual rating.
+    pair's score once per individual rating.  The models share one
+    ``memo`` (see ``model_similarity``), made here when none is passed.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -290,13 +326,15 @@ def run_experiment(
     grouped = _group_rows(dataset)
     if any(not ratings for _, ratings in grouped):
         raise ValueError("every pair needs at least one gold rating")
+    if memo is None:
+        memo = {}
     report: dict[str, ModelScore] = {}
     for model in models:
         scores = [
             model_similarity(
                 pair, model, lex, grammar,
                 alpha=alpha, beta=beta, verb_folding=verb_folding,
-                s_base=s_base, n_base=n_base,
+                s_base=s_base, n_base=n_base, memo=memo,
             )
             for pair, _ in grouped
         ]
@@ -317,7 +355,7 @@ def run_experiment(
 def read_dataset(path) -> list[SentencePair]:
     """TSV rows ``id  sentence1  sentence2  rating  tag`` (ratings optional)."""
     rows = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

@@ -175,8 +175,10 @@ def standard_lexicon(
 
 def load_lexicon(path) -> Lexicon:
     """Read a ``word<TAB>type`` file; repeated words accumulate assignments."""
+    from .vectorspace import open_text
+
     pairs: list[tuple[str, PregroupType]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, LexiconError) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].rstrip()
             if not line:

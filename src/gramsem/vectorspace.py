@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import FileFormatError, SpaceMismatchError, UnknownLabelError
+from .errors import FileFormatError, GramsemError, SpaceMismatchError, UnknownLabelError
 
 PLAIN = "plain"
 STRUCTURED = "structured"
@@ -399,6 +399,30 @@ def atomic_write(path: str | os.PathLike) -> Iterator:
         raise
 
 
+@contextmanager
+def open_text(path: str | os.PathLike, error: type[GramsemError] = FileFormatError) -> Iterator:
+    """Open an input file as UTF-8 text.  Bytes that do not decode, met
+    anywhere in the ``with`` block, raise ``error`` naming ``path:line``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise _undecodable(path, error) from None
+
+
+def _undecodable(path: str | os.PathLike, error: type[GramsemError]) -> GramsemError:
+    # Only called once decoding has failed: the readers' loops count no
+    # bytes, so the line is found by decoding the file again line by line,
+    # split where text mode splits (\n, \r and \r\n).
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return error(f"{path}:{lineno}: {exc}")
+    return error(f"{path}: not valid UTF-8")
+
+
 def _write_header(handle, space: BasisRegistry) -> None:
     handle.write(f"#space\t{space.name}\t{space.kind}\n")
 
@@ -406,7 +430,7 @@ def _write_header(handle, space: BasisRegistry) -> None:
 def _data_lines(path: str | os.PathLike, space: BasisRegistry) -> Iterator[tuple[int, str]]:
     """Check the '#space' header against ``space``, then yield each later
     non-empty line, comments included, with its line number."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline().rstrip("\n").split("\t")
         if header != ["#space", space.name, space.kind]:
             raise FileFormatError(

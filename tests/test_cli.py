@@ -572,3 +572,89 @@ def test_malformed_input_row_names_path_and_line(benchmark_files, tmp_path, caps
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"gramsem: {path}:{lineno}: ")
+
+
+def test_duplicate_basis_label_names_both_lines(benchmark_files, tmp_path, capsys):
+    _, paths = benchmark_files
+    labels = open(paths["basis"], encoding="utf-8").read().splitlines()
+    basis = tmp_path / "basis.txt"
+    basis.write_text("\n".join([*labels, "# a comment", labels[1]]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--dataset", paths["dataset"], "--lexicon",
+                         paths["lexicon"], "--basis", str(basis), "--semantics-dir",
+                         paths["semantics"])
+    assert code == 1 and out == ""
+    assert err == (f"gramsem: {basis}:{len(labels) + 2}: duplicate basis label"
+                   f" {labels[1]!r}, first on line 2\n")
+
+
+# case: (input file, line given a byte that is not UTF-8, subcommand that reads it)
+UNDECODABLE = {
+    "basis": ("basis", 3, "eval"),
+    "corpus": ("corpus", 2, "build-nouns"),
+    "triples": ("triples", 4, "build-verb"),
+    "adjective records": ("adjectives", 2, "build-adj"),
+    "lexicon": ("lexicon", 5, "sim"),
+    "dataset": ("dataset", 7, "eval"),
+    "nouns.tsv header": ("sem/nouns.tsv", 1, "sim"),
+    "nouns.tsv row": ("sem/nouns.tsv", -1, "eval"),
+    "tensor row": ("sem/verbs/charge.tsv", 3, "sim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_input_names_path_and_line(benchmark_files, tmp_path, capsys, case):
+    import shutil
+
+    _, paths = benchmark_files
+    key, lineno, command = UNDECODABLE[case]
+    files = dict(paths, semantics=str(tmp_path / "sem"))
+    shutil.copytree(paths["semantics"], files["semantics"])
+    files["adjectives"] = str(tmp_path / "adjectives.tsv")
+    with open(files["adjectives"], "w", encoding="utf-8") as handle:
+        handle.write("fierce\tknight\nfierce\tarmy\nfierce\tmob\n")
+    path = tmp_path / (key if key.startswith("sem/") else os.path.basename(files[key]))
+    if not path.exists():
+        shutil.copyfile(files[key], path)
+        files[key] = str(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lineno = lineno if lineno > 0 else len(lines)
+    lines[lineno - 1] = lines[lineno - 1][:2] + b"\xff" + lines[lineno - 1][2:]
+    path.write_bytes(b"".join(lines))
+    common = ("--basis", files["basis"], "--semantics-dir", files["semantics"])
+    if command == "eval":
+        argv = ("eval", "--dataset", files["dataset"], "--lexicon", files["lexicon"], *common)
+    elif command == "sim":
+        argv = ("sim", "knight charge enemy", "knight storm enemy", "--lexicon", files["lexicon"],
+                *common)
+    elif command == "build-nouns":
+        argv = ("build-nouns", "--corpus", files["corpus"], "--basis", files["basis"],
+                "--out", str(tmp_path / "out.tsv"))
+    elif command == "build-verb":
+        argv = ("build-verb", "charge", "--triples", files["triples"], *common,
+                "--out", str(tmp_path / "out.tsv"))
+    else:
+        argv = ("build-adj", "fierce", "--triples", files["adjectives"], *common,
+                "--out", str(tmp_path / "out.tsv"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"gramsem: {path}:{lineno}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_eval_shares_one_memo_across_models(benchmark_files, capsys, monkeypatch):
+    from gramsem import evaluation
+
+    _, paths = benchmark_files
+    memos = []
+
+    def recorded(*args, memo=None, **kwargs):
+        memos.append(memo)
+        return run_experiment(*args, memo=memo, **kwargs)
+
+    run_experiment = evaluation.run_experiment
+    monkeypatch.setattr(evaluation, "run_experiment", recorded)
+    code, _, _ = run(capsys, "eval", "--dataset", paths["dataset"], "--lexicon", paths["lexicon"],
+                     "--basis", paths["basis"], "--semantics-dir", paths["semantics"])
+    assert code == 0 and len(memos) == len(evaluation.MODELS)
+    assert memos[0] is not None and all(memo is memos[0] for memo in memos)

@@ -25,7 +25,7 @@ from gramsem.corpus import (
     read_triples,
     tfidf,
 )
-from gramsem.errors import SpaceMismatchError
+from gramsem.errors import FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
     PLAIN,
     STRUCTURED,
@@ -341,3 +341,14 @@ def test_read_basis(tmp_path):
     path.write_text("subj-show\nobj-show\n", encoding="utf-8")
     structured = read_basis(path, name="P", kind=STRUCTURED)
     assert structured.kind == STRUCTURED and structured.name == "P"
+
+
+def test_undecodable_line_is_counted_as_text_mode_counts_lines(tmp_path):
+    # text mode ends a line at \n, \r or \r\n: the bad byte is on line 4
+    path = tmp_path / "basis.txt"
+    path.write_bytes(b"alpha\r\nbeta\rgamma\n\xffdelta\n")
+    with pytest.raises(FileFormatError) as raised:
+        read_basis(path)
+    assert str(raised.value).startswith(f"{path}:4: 'utf-8' codec can't decode byte 0xff")
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        assert [n for n, line in enumerate(handle, 1) if "\ufffd" in line] == [4]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_ranks, oracle_spearman
@@ -27,7 +27,7 @@ from gramsem.evaluation import (
     spearman_rho,
 )
 from gramsem.pregroup import Lexicon, parse_type, standard_lexicon
-from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector
+from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector, cosine
 
 
 # --- sentence pairs -----------------------------------------------------------
@@ -352,3 +352,117 @@ def test_word_roles_take_the_verb_from_the_slot_plan():
                        "run": (parse_type("n"), parse_type("n^r s"))})
     assert _word_roles(("dogs", "run"), grammar, "s", "n") == [("dogs", "noun"), ("run", "verb")]
     assert _word_roles(("run",), grammar, "s", "n") == [("run", "noun")]
+
+
+# --- one memo per run ------------------------------------------------------------------
+
+MEMO_SPACE = BasisRegistry("memo", ("a", "b", "c"))
+MEMO_GRAMMAR = standard_lexicon(
+    nouns=["dogs", "cats", "mice"], transitive=["chase", "bite"], intransitive=["run", "nap"]
+)
+MEMO_SENTENCES = [
+    ("dogs", "run"),
+    ("cats", "nap"),
+    ("dogs", "chase", "cats"),
+    ("mice", "bite", "dogs"),
+    ("cats", "chase", "mice"),
+]
+_weights = st.lists(st.integers(0, 3).map(float), min_size=3, max_size=3)
+
+
+@st.composite
+def memo_worlds(draw):
+    """Every word has a vector; chase/bite have order-2 tensors, run an
+    order-1 tensor and nap none, so each folding mode meets each case."""
+    vectors = {
+        word: WeightedVector(MEMO_SPACE, dict(enumerate(draw(_weights))))
+        for word in MEMO_GRAMMAR.entries
+    }
+    tensors = {"run": SemTensor(MEMO_SPACE, 1, {(i,): w for i, w in enumerate(draw(_weights))})}
+    for verb in ("chase", "bite"):
+        grid = draw(st.lists(st.integers(0, 2).map(float), min_size=9, max_size=9))
+        tensors[verb] = SemTensor(MEMO_SPACE, 2, {divmod(k, 3): w for k, w in enumerate(grid)})
+    return LexicalSemantics(MEMO_SPACE, vectors, tensors)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (CompositionError, UngrammaticalError) as exc:
+        return type(exc), str(exc)
+
+
+MEMO_OPTIONS = list(
+    itertools.product(
+        MODELS,
+        ("auto", "tensor", "vector"),
+        ((0.5, 0.5), (0.25, 2.0)),
+        (("s", "n"), ("s", "m"), ("t", "n")),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lex=memo_worlds(),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(MEMO_SENTENCES), st.sampled_from(MEMO_SENTENCES)),
+        min_size=1,
+        max_size=6,
+    ),
+    options=st.permutations(MEMO_OPTIONS),
+)
+def test_memo_scores_equal_fresh_scores(lex, pairs, options):
+    # a dataset with repeated sentences and verbs, scored under every model,
+    # folding mode, weighting and pair of base names, in any order, all
+    # through one memo: a key that left out an option would hand back a
+    # value computed under another
+    memo = {}
+    for model, verb_folding, (alpha, beta), (s_base, n_base) in options:
+        kwargs = dict(alpha=alpha, beta=beta, verb_folding=verb_folding,
+                      s_base=s_base, n_base=n_base)
+        for s1, s2 in pairs:
+            pair = SentencePair("x", s1, s2)
+            fresh = _outcome(lambda: model_similarity(pair, model, lex, MEMO_GRAMMAR, **kwargs))
+            shared = _outcome(
+                lambda: model_similarity(pair, model, lex, MEMO_GRAMMAR, **kwargs, memo=memo)
+            )
+            assert shared == fresh
+
+
+def test_memo_serves_one_semantics_and_grammar(world):
+    pair = SentencePair("x", ("knight", "charge", "enemy"), ("knight", "storm", "enemy"))
+    memo = {}
+    model_similarity(pair, "add", world.lex, world.grammar, memo=memo)
+    other = LexicalSemantics(world.space, world.lex.vectors, world.lex.tensors)
+    with pytest.raises(ValueError, match="memo"):
+        model_similarity(pair, "add", other, world.grammar, memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        model_similarity(pair, "add", world.lex, Lexicon(world.grammar.entries), memo=memo)
+
+
+def test_verb_baseline_scores_each_ordered_verb_pair_once(world, monkeypatch):
+    import gramsem.evaluation as evaluation
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return cosine(a, b)
+
+    monkeypatch.setattr(evaluation, "cosine", counted)
+    rows = [
+        *world.dataset,
+        SentencePair("z1", ("knight", "storm", "enemy"), ("army", "charge", "rival"), 4.0, HIGH),
+        SentencePair("z2", ("mob", "charge", "enemy"), ("army", "charge", "rival"), 5.0, HIGH),
+        SentencePair("z3", ("army", "storm", "rival"), ("knight", "charge", "enemy"), 3.0, LOW),
+    ]
+    verb_pairs = {(row.sentence_1[1], row.sentence_2[1]) for row in rows}
+    assert len(verb_pairs) == 4 and len(rows) == 51
+    run_experiment(rows, ["verb_baseline"], world.lex, world.grammar)
+    assert len(calls) == len(verb_pairs)
+    # a memo passed in is shared with later calls: nothing is scored again
+    memo = {}
+    run_experiment(rows, ["verb_baseline"], world.lex, world.grammar, memo=memo)
+    run_experiment(rows, ["verb_baseline"], world.lex, world.grammar, memo=memo)
+    assert len(calls) == 2 * len(verb_pairs)

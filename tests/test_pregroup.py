@@ -196,3 +196,10 @@ def test_lexicon_file_comments_and_errors(tmp_path):
     path.write_text("dogs n\n", encoding="utf-8")
     with pytest.raises(LexiconError):
         load_lexicon(path)
+
+
+def test_undecodable_lexicon_raises_lexicon_error_naming_the_line(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(b"dogs\tn\ncats\tn\nch\xe9se\tn^r s n^l\n")
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode")):
+        load_lexicon(path)
