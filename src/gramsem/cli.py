@@ -142,10 +142,9 @@ def cmd_eval(args) -> int:
     models = args.model or _ALL_MODELS
     scores = {}
     degenerate = []
-    memo: dict = {}  # shared by the models: each verb pair and fold is scored once
     for model in models:
         try:
-            report = evaluation.run_experiment(dataset, [model], lex, grammar, memo=memo)
+            report = evaluation.run_experiment(dataset, [model], lex, grammar)
         except DegenerateDataError as exc:
             print(f"gramsem: {model}: {exc}", file=sys.stderr)
             degenerate.append(model)

@@ -196,10 +196,11 @@ def model_similarity(
     raises ``UngrammaticalError``, and one whose links are not a verb with
     its noun phrases, or one noun phrase, raises ``CompositionError``.
 
-    ``memo`` is a dict shared by the calls of one run, for one ``lex`` and
-    ``grammar``: it keeps each sentence's verb, each folded sentence vector
-    and each verb-pair cosine, keyed by every option they depend on.  The
-    composed meanings of the categorical model are not kept.
+    ``memo`` is a dict that calls for one ``lex`` and ``grammar`` share, as
+    the pairs of one ``run_experiment`` do: it keeps each sentence's verb,
+    each folded sentence vector and each verb-pair cosine, keyed by every
+    option they depend on.  The composed meanings of the categorical model
+    are not kept.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
@@ -310,14 +311,14 @@ def run_experiment(
     annotator_mode: str = "mean",
     s_base: str = "s",
     n_base: str = "n",
-    memo: dict | None = None,
 ) -> ExperimentReport:
     """Score every pair under every model and correlate with the gold ratings.
 
     With several annotator rows per pair, ``annotator_mode="mean"``
     correlates against per-pair rating means and ``"pooled"`` repeats each
-    pair's score once per individual rating.  The models share one
-    ``memo`` (see ``model_similarity``), made here when none is passed.
+    pair's score once per individual rating.  The pairs share one ``memo``
+    (see ``model_similarity``), so each distinct sentence fold and verb
+    pair is scored once.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -326,8 +327,7 @@ def run_experiment(
     grouped = _group_rows(dataset)
     if any(not ratings for _, ratings in grouped):
         raise ValueError("every pair needs at least one gold rating")
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     report: dict[str, ModelScore] = {}
     for model in models:
         scores = [

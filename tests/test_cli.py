@@ -641,20 +641,3 @@ def test_undecodable_input_names_path_and_line(benchmark_files, tmp_path, capsys
     assert err.startswith(f"gramsem: {path}:{lineno}: 'utf-8' codec can't decode byte 0xff")
     assert not (tmp_path / "out.tsv").exists()
 
-
-def test_eval_shares_one_memo_across_models(benchmark_files, capsys, monkeypatch):
-    from gramsem import evaluation
-
-    _, paths = benchmark_files
-    memos = []
-
-    def recorded(*args, memo=None, **kwargs):
-        memos.append(memo)
-        return run_experiment(*args, memo=memo, **kwargs)
-
-    run_experiment = evaluation.run_experiment
-    monkeypatch.setattr(evaluation, "run_experiment", recorded)
-    code, _, _ = run(capsys, "eval", "--dataset", paths["dataset"], "--lexicon", paths["lexicon"],
-                     "--basis", paths["basis"], "--semantics-dir", paths["semantics"])
-    assert code == 0 and len(memos) == len(evaluation.MODELS)
-    assert memos[0] is not None and all(memo is memos[0] for memo in memos)

@@ -461,8 +461,3 @@ def test_verb_baseline_scores_each_ordered_verb_pair_once(world, monkeypatch):
     assert len(verb_pairs) == 4 and len(rows) == 51
     run_experiment(rows, ["verb_baseline"], world.lex, world.grammar)
     assert len(calls) == len(verb_pairs)
-    # a memo passed in is shared with later calls: nothing is scored again
-    memo = {}
-    run_experiment(rows, ["verb_baseline"], world.lex, world.grammar, memo=memo)
-    run_experiment(rows, ["verb_baseline"], world.lex, world.grammar, memo=memo)
-    assert len(calls) == 2 * len(verb_pairs)
