@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import composition, corpus, evaluation, pregroup, vectorspace
-from .errors import DegenerateDataError, GramsemError
+from .errors import DegenerateDataError, FileFormatError, GramsemError
 
 _ALL_MODELS = list(evaluation.MODELS)
 
@@ -33,6 +33,8 @@ def _space_from(basis_path: str, semantics_dir: str | None) -> vectorspace.Basis
                 parts = handle.readline().rstrip("\n").split("\t")
             if len(parts) == 3 and parts[0] == "#space":
                 name, kind = parts[1], parts[2]
+                if kind not in (vectorspace.PLAIN, vectorspace.STRUCTURED):
+                    raise FileFormatError(f"{nouns_path}:1: unknown basis kind: {kind!r}")
     return corpus.read_basis(basis_path, name=name, kind=kind)
 
 

@@ -24,6 +24,7 @@ from .vectorspace import (
     BasisRegistry,
     SemTensor,
     WeightedVector,
+    _is_rel_word,
     _kronecker_sum,
     open_text,
 )
@@ -286,6 +287,10 @@ def read_basis(path, name: str | None = None, kind: str = PLAIN) -> BasisRegistr
                 raise FileFormatError(
                     f"{path}:{lineno}: duplicate basis label {label!r},"
                     f" first on line {first_line[label]}"
+                )
+            if kind == STRUCTURED and not _is_rel_word(label):
+                raise FileFormatError(
+                    f"{path}:{lineno}: structured label must have the form 'rel-word': {label!r}"
                 )
             first_line[label] = lineno
     if name is None:

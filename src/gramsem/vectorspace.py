@@ -52,12 +52,8 @@ class BasisRegistry:
                 raise ValueError("basis labels must be non-empty")
             if label in index:
                 raise ValueError(f"duplicate basis label: {label!r}")
-            if self.kind == STRUCTURED:
-                cut = label.find("-")
-                if cut <= 0 or cut == len(label) - 1:
-                    raise ValueError(
-                        f"structured label must have the form 'rel-word': {label!r}"
-                    )
+            if self.kind == STRUCTURED and not _is_rel_word(label):
+                raise ValueError(f"structured label must have the form 'rel-word': {label!r}")
             index[label] = i
         object.__setattr__(self, "_index", index)
 
@@ -75,6 +71,11 @@ class BasisRegistry:
 
     def label(self, i: int) -> str:
         return self.labels[i]
+
+
+def _is_rel_word(label: str) -> bool:
+    """Whether ``label`` has a structured label's ``rel-word`` form."""
+    return 0 < label.find("-") < len(label) - 1
 
 
 def _as_index(i, space: BasisRegistry) -> int:
@@ -99,15 +100,20 @@ def _clean_entries(space: BasisRegistry, entries: Mapping[int, float]) -> dict[i
     return clean
 
 
+def _nonzero(entries: dict) -> dict:
+    """``entries`` without its zero weights: the dict itself if it has none."""
+    if 0.0 in entries.values():
+        return {k: w for k, w in entries.items() if w}
+    return entries
+
+
 def _kept(entries: dict) -> dict:
     """Check weights the library just computed from valid operands: reject
     non-finite ones, drop zeros.  The keys are trusted, not checked again."""
     if not all(map(math.isfinite, entries.values())):
         key = next(k for k, w in entries.items() if not math.isfinite(w))
         raise ValueError(f"non-finite weight {entries[key]!r} at {key}")
-    if 0.0 in entries.values():
-        return {k: w for k, w in entries.items() if w}
-    return entries
+    return _nonzero(entries)
 
 
 @dataclass(frozen=True)
@@ -427,19 +433,13 @@ def _write_header(handle, space: BasisRegistry) -> None:
     handle.write(f"#space\t{space.name}\t{space.kind}\n")
 
 
-def _data_lines(path: str | os.PathLike, space: BasisRegistry) -> Iterator[tuple[int, str]]:
-    """Check the '#space' header against ``space``, then yield each later
-    non-empty line, comments included, with its line number."""
-    with open_text(path) as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if header != ["#space", space.name, space.kind]:
-            raise FileFormatError(
-                f"{path}:1: header {' '.join(header)!r} is not '#space {space.name} {space.kind}'"
-            )
-        for lineno, line in enumerate(handle, 2):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
+def _check_header(handle, path: str | os.PathLike, space: BasisRegistry) -> None:
+    """Read a file's first line, which must be the '#space' header naming ``space``."""
+    header = handle.readline().rstrip("\n").split("\t")
+    if header != ["#space", space.name, space.kind]:
+        raise FileFormatError(
+            f"{path}:1: header {' '.join(header)!r} is not '#space {space.name} {space.kind}'"
+        )
 
 
 def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
@@ -450,6 +450,54 @@ def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
     if not math.isfinite(w):
         raise FileFormatError(f"{path}:{lineno}: non-finite weight {text!r}")
     return w
+
+
+def _check_collection_line(path, lineno: int, line: str, space: BasisRegistry, weights) -> None:
+    """Check a collection line that ``load_vectors``' row loop could not take:
+    return on a blank or '#' line, else raise the row's first error among its
+    field count, label, a duplicate entry and its weight."""
+    line = line.rstrip("\n")
+    if not line or line[0] == "#":
+        return
+    row = line.split("\t")
+    if len(row) != 3:
+        raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
+    word, label, text = row
+    if label not in space:
+        raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
+    if space.index(label) in weights.get(word, ()):
+        raise FileFormatError(f"{path}:{lineno}: duplicate entry for {word!r}/{label!r}")
+    _weight(text, path, lineno)
+
+
+def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, entries) -> int | None:
+    """Read a tensor file line that ``load_tensor``'s row loop could not take;
+    return the order known after it.  A '#order' line, then a row's width,
+    must agree with ``order`` or set it; then come the row's first unknown
+    label, a duplicate entry and its weight.  A valid row joins ``entries``."""
+    line = line.rstrip("\n")
+    if not line:
+        return order
+    *labels, text = line.split("\t")
+    if line[0] == "#":
+        if labels == ["#order"]:
+            if order is None and text in ("1", "2", "3"):
+                return int(text)
+            if text != str(order):
+                raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
+        return order
+    if order is None and 1 <= len(labels) <= 3:
+        order = len(labels)
+    if len(labels) != order:
+        raise FileFormatError(f"{path}:{lineno}: expected {order or '1-3'} labels and a weight")
+    for label in labels:
+        if label not in space:
+            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
+    key = tuple(map(space.index, labels))
+    if key in entries:
+        raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
+    entries[key] = _weight(text, path, lineno)
+    return order
 
 
 def save_vector(path: str | os.PathLike, v: WeightedVector) -> None:
@@ -479,34 +527,32 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None
         raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
     index = space._index
     entries: dict[tuple[int, ...], float] = {}
-    zero = False
-    for lineno, line in _data_lines(path, space):
-        *labels, text = line.split("\t")
-        if line[0] == "#":
-            if labels == ["#order"]:
-                if order is None and text in ("1", "2", "3"):
-                    order = int(text)
-                elif text != str(order):
-                    raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
-            continue
-        if order is None and 1 <= len(labels) <= 3:
-            order = len(labels)
-        if len(labels) != order:
-            raise FileFormatError(f"{path}:{lineno}: expected {order or '1-3'} labels and a weight")
-        key = tuple([index.get(label, -1) for label in labels])
-        if -1 in key:
-            label = labels[key.index(-1)]
-            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
-        if key in entries:
-            raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
-        w = entries[key] = _weight(text, path, lineno)
-        if not w:
-            zero = True
+    with open_text(path) as handle:
+        _check_header(handle, path, space)
+        for lineno, line in enumerate(handle, 2):
+            try:
+                if order == 2:
+                    a, b, text = line.split("\t")
+                    key = (index[a], index[b])
+                elif order == 1:
+                    a, text = line.split("\t")
+                    key = (index[a],)
+                elif order == 3:
+                    a, b, c, text = line.split("\t")
+                    key = (index[a], index[b], index[c])
+                else:  # until a '#order' line or the first row sets it
+                    raise KeyError(order)
+                w = float(text)
+                # w - w is nonzero only for inf and nan; a row starting with '#' is a comment
+                if key in entries or w - w or a[0] == "#":
+                    raise KeyError(key)
+            except (KeyError, ValueError):
+                order = _read_tensor_line(path, lineno, line, space, order, entries)
+                continue
+            entries[key] = w
     if order is None:
         raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
-    if zero:
-        entries = {k: w for k, w in entries.items() if w}
-    return SemTensor._trusted(space, order, entries)
+    return SemTensor._trusted(space, order, _nonzero(entries))
 
 
 def save_vectors(
@@ -527,25 +573,24 @@ def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, Wei
     """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
     index = space._index
     weights: dict[str, dict[int, float]] = {}
-    zero = False
-    for lineno, line in _data_lines(path, space):
-        if line[0] == "#":
-            continue
-        row = line.split("\t")
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
-        word, label, text = row
-        i = index.get(label)
-        if i is None:
-            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
-        per_word = weights.get(word)
-        if per_word is None:
-            per_word = weights[word] = {}
-        elif i in per_word:
-            raise FileFormatError(f"{path}:{lineno}: duplicate entry for {word!r}/{label!r}")
-        w = per_word[i] = _weight(text, path, lineno)
-        if not w:
-            zero = True
-    if zero:
-        weights = {word: {i: w for i, w in ws.items() if w} for word, ws in weights.items()}
-    return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}
+    word = per_word = None
+    with open_text(path) as handle:
+        _check_header(handle, path, space)
+        for lineno, line in enumerate(handle, 2):
+            try:
+                this, label, text = line.split("\t")
+                # Rows come grouped by word, and a '#' line (a comment) never
+                # has the word of the row before it.
+                if this != word:
+                    if this[:1] == "#":
+                        continue
+                    word, per_word = this, weights.setdefault(this, {})
+                i = index[label]
+                w = float(text)
+                if i in per_word or w - w:  # w - w is nonzero for inf and nan only
+                    raise KeyError(label)
+            except (KeyError, ValueError):
+                _check_collection_line(path, lineno, line, space, weights)
+                continue
+            per_word[i] = w
+    return {word: WeightedVector._trusted(space, _nonzero(ws)) for word, ws in weights.items()}

@@ -7,7 +7,9 @@ only ever used from tests.
 
 import itertools
 import math
+import os
 from functools import lru_cache
+from typing import Iterator
 
 from gramsem.corpus import CountAccumulator
 from gramsem.pregroup import (
@@ -20,7 +22,8 @@ from gramsem.pregroup import (
     cancels,
     parse_type,
 )
-from gramsem.vectorspace import SemTensor
+from gramsem.errors import FileFormatError, UnknownLabelError
+from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector, open_text
 
 # --- exhaustive pregroup cancellation ---------------------------------------
 
@@ -157,3 +160,100 @@ def oracle_count_cooccurrence(documents, targets, basis, window):
         for i in seen:
             acc.doc_frequency[i] = acc.doc_frequency.get(i, 0) + 1
     return acc
+
+
+# --- the row-by-row file loaders -------------------------------------------
+# Copied from the library as it was before its loaders read a row with
+# fixed-width unpacking: a generator over the data lines, a checked weight
+# per row and a list-built key.  Only the two public names gained the
+# ``oracle_`` prefix.
+
+
+def _data_lines(path: str | os.PathLike, space: BasisRegistry) -> Iterator[tuple[int, str]]:
+    """Check the '#space' header against ``space``, then yield each later
+    non-empty line, comments included, with its line number."""
+    with open_text(path) as handle:
+        header = handle.readline().rstrip("\n").split("\t")
+        if header != ["#space", space.name, space.kind]:
+            raise FileFormatError(
+                f"{path}:1: header {' '.join(header)!r} is not '#space {space.name} {space.kind}'"
+            )
+        for lineno, line in enumerate(handle, 2):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
+
+
+def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
+    try:
+        w = float(text)
+    except ValueError:
+        raise FileFormatError(f"{path}:{lineno}: weight {text!r} is not a number") from None
+    if not math.isfinite(w):
+        raise FileFormatError(f"{path}:{lineno}: non-finite weight {text!r}")
+    return w
+
+
+def oracle_load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None = None) -> SemTensor:
+    """Read a tensor file, checking each row once.  The order is ``order``, else
+    the '#order' line's, else the first row's; a '#order' line must agree."""
+    if order not in (None, 1, 2, 3):
+        raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
+    index = space._index
+    entries: dict[tuple[int, ...], float] = {}
+    zero = False
+    for lineno, line in _data_lines(path, space):
+        *labels, text = line.split("\t")
+        if line[0] == "#":
+            if labels == ["#order"]:
+                if order is None and text in ("1", "2", "3"):
+                    order = int(text)
+                elif text != str(order):
+                    raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
+            continue
+        if order is None and 1 <= len(labels) <= 3:
+            order = len(labels)
+        if len(labels) != order:
+            raise FileFormatError(f"{path}:{lineno}: expected {order or '1-3'} labels and a weight")
+        key = tuple([index.get(label, -1) for label in labels])
+        if -1 in key:
+            label = labels[key.index(-1)]
+            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
+        if key in entries:
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
+        w = entries[key] = _weight(text, path, lineno)
+        if not w:
+            zero = True
+    if order is None:
+        raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
+    if zero:
+        entries = {k: w for k, w in entries.items() if w}
+    return SemTensor._trusted(space, order, entries)
+
+
+def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:
+    """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
+    index = space._index
+    weights: dict[str, dict[int, float]] = {}
+    zero = False
+    for lineno, line in _data_lines(path, space):
+        if line[0] == "#":
+            continue
+        row = line.split("\t")
+        if len(row) != 3:
+            raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
+        word, label, text = row
+        i = index.get(label)
+        if i is None:
+            raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
+        per_word = weights.get(word)
+        if per_word is None:
+            per_word = weights[word] = {}
+        elif i in per_word:
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry for {word!r}/{label!r}")
+        w = per_word[i] = _weight(text, path, lineno)
+        if not w:
+            zero = True
+    if zero:
+        weights = {word: {i: w for i, w in ws.items() if w} for word, ws in weights.items()}
+    return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}

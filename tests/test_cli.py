@@ -641,3 +641,29 @@ def test_undecodable_input_names_path_and_line(benchmark_files, tmp_path, capsys
     assert err.startswith(f"gramsem: {path}:{lineno}: 'utf-8' codec can't decode byte 0xff")
     assert not (tmp_path / "out.tsv").exists()
 
+
+
+# case: (nouns.tsv header, basis lines, file named in the error, its line, message)
+BASIS_FAULTS = {
+    "structured label without rel-word form": (
+        "#space\tN\tstructured", ["subj-dog", "foo"], "basis.txt", 2,
+        "structured label must have the form 'rel-word': 'foo'",
+    ),
+    "unknown basis kind": (
+        "#space\tN\tfancy", ["dog", "cat"], "sem/nouns.tsv", 1, "unknown basis kind: 'fancy'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_FAULTS))
+def test_basis_fault_names_path_and_line(tmp_path, capsys, case):
+    header, labels, named, lineno, message = BASIS_FAULTS[case]
+    (tmp_path / "sem").mkdir()
+    (tmp_path / "sem" / "nouns.tsv").write_text(header + "\n", encoding="utf-8")
+    (tmp_path / "basis.txt").write_text("".join(f"{label}\n" for label in labels), encoding="utf-8")
+    (tmp_path / "lexicon.tsv").write_text("dog\tn\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim", "dog", "dog", "--lexicon", str(tmp_path / "lexicon.tsv"),
+                         "--basis", str(tmp_path / "basis.txt"),
+                         "--semantics-dir", str(tmp_path / "sem"))
+    assert code == 1 and out == ""
+    assert err == f"gramsem: {tmp_path / named}:{lineno}: {message}\n"

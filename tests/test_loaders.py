@@ -1,0 +1,160 @@
+"""Property tests: the fixed-width file loaders equal the row-by-row ones.
+
+``load_vectors`` and ``load_tensor`` read each row with one split, one
+lookup per label and one ``float``, and leave every line they cannot take
+to a checker.  Over random files mixing valid rows (zero weights
+included), words and first labels met again after other rows, blank
+lines, comments of every width, right, wrong and missing ``#order``
+lines, rows of the wrong width, unknown labels, duplicates, weights that
+are not finite numbers, bytes that are not UTF-8 and files with several
+faults or no final newline, both give the same result in the same order,
+or the same exception with the same message.
+"""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_load_tensor, oracle_load_vectors
+from gramsem.vectorspace import BasisRegistry, load_tensor, load_vectors
+
+SPACES = [
+    BasisRegistry("s", ("a", "b", "c")),
+    # labels that read as comments or as the order line when they lead a row
+    BasisRegistry("h", ("a", "#b", "#order")),
+]
+GOOD_WEIGHTS = st.one_of(
+    st.sampled_from(["1.5", "-2.0", "0.0", "-0.0", "0", "1e-300", " 3", "1_0", "2.5e3"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+BAD_WEIGHTS = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e400", "NaN", "1.0.0"])
+SETTINGS = settings(max_examples=500, deadline=None)
+
+
+@st.composite
+def files(draw, words):
+    """A space, the order to load with (mostly none or the file's) and the
+    bytes of a file: a header (mostly right), valid rows of one order (1 for
+    a collection) with blank, comment and '#order' lines between them, up
+    to two faulty lines, and maybe no final newline or a byte that is not
+    UTF-8."""
+    space = draw(st.sampled_from(SPACES))
+    order = 1 if words else draw(st.sampled_from([1, 2, 3]))
+    given = draw(st.sampled_from([None, None, order, order, 1, 2, 3]))
+    header = draw(st.sampled_from([f"#space\t{space.name}\tplain"] * 9 + ["#space\tother\tplain"]))
+    labels = st.tuples(*[st.sampled_from(space.labels)] * order)
+    keys = draw(st.lists(st.tuples(st.sampled_from(words or [""]), labels), max_size=12, unique=True))
+    rows = [[word, *key] if words else list(key) for word, key in keys]
+    lines = ["\t".join([*row, draw(GOOD_WEIGHTS)]) for row in rows]
+
+    def insert(line):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+
+    for _ in range(draw(st.integers(0, 4))):
+        insert(draw(st.sampled_from(["", "#", "#c\tx", "#c\ta\t1.0", "#\ta\tb\t1", f"#order\t{order}"])))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        row = draw(st.sampled_from(rows)) if rows else [*words[:1], *space.labels[:order]]
+        fault = draw(st.sampled_from(["width", "label", "duplicate", "weight", "order"]))
+        if fault == "width":
+            row = draw(st.sampled_from([row[:-1], [*row, row[-1]]]))
+        elif fault == "label":
+            row = list(row)
+            row[draw(st.integers(bool(words), len(row) - 1))] = draw(st.sampled_from(["zz", ""]))
+        if fault == "order":
+            insert("#order\t" + draw(st.sampled_from(["1", "2", "3", "4", "x", "None", ""])))
+        else:
+            insert("\t".join([*row, draw(BAD_WEIGHTS if fault == "weight" else GOOD_WEIGHTS)]))
+    text = "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+    data = text.encode("utf-8")
+    if lines and draw(st.sampled_from([False] * 19 + [True])):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return space, given, data
+
+
+def outcome(load, path, *args):
+    try:
+        return "ok", load(path, *args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def assert_same_vectors(new, old):
+    assert new == old
+    assert list(new) == list(old)
+    for word in old:
+        assert list(new[word].entries.items()) == list(old[word].entries.items())
+        assert all(type(w) is float for w in new[word].entries.values())
+
+
+@SETTINGS
+@given(files(("w", "v", "u", "#w", "")))
+def test_load_vectors_equals_the_row_by_row_loader(made):
+    space, _, data = made
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "nouns.tsv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        new = outcome(load_vectors, path, space)
+        old = outcome(oracle_load_vectors, path, space)
+    assert new[0] == old[0]
+    if old[0] == "ok":
+        assert_same_vectors(new[1], old[1])
+    else:
+        assert new[1] == old[1]
+
+
+@SETTINGS
+@given(files(()))
+def test_load_tensor_equals_the_row_by_row_loader(made):
+    space, order, data = made
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.tsv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        new = outcome(load_tensor, path, space, order)
+        old = outcome(oracle_load_tensor, path, space, order)
+    assert new[0] == old[0]
+    if old[0] == "ok":
+        assert new[1] == old[1] and new[1].order == old[1].order
+        assert list(new[1].entries.items()) == list(old[1].entries.items())
+        assert all(type(w) is float for w in new[1].entries.values())
+    else:
+        assert new[1] == old[1]
+
+
+# a fragment of each error message a loader can raise
+MARKERS = {
+    "tensor": ("header", ": order", "labels and a weight", "not in space", "duplicate",
+               "not a number", "non-finite", "codec", "empty"),
+    "collection": ("header", "expected 'word", "not in space", "duplicate", "not a number",
+                   "non-finite", "codec"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MARKERS))
+def test_the_files_reach_every_outcome(kind):
+    """The random files load, with and without entries, and fail in every
+    way the loader can; the equality tests above would be weak otherwise."""
+    seen = set()
+    words, load = ((), load_tensor) if kind == "tensor" else (("w", "v"), load_vectors)
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(files(words))
+    def collect(made):
+        space, order, data = made
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "f.tsv")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            result, value = outcome(load, path, space, *[order][: kind == "tensor"])
+        if result == "ok":
+            seen.add("ok" if (value.entries if kind == "tensor" else value) else "ok, empty")
+        else:
+            seen.update(marker for marker in MARKERS[kind] if marker in value)
+
+    collect()
+    assert seen == {"ok", "ok, empty", *MARKERS[kind]}
