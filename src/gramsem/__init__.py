@@ -75,11 +75,9 @@ from .vectorspace import (
     cosine,
     inner,
     kronecker,
-    kronecker3,
     norm,
     pointwise_mul,
     scale,
-    tensor_add,
 )
 
 __version__ = "0.1.0"

@@ -33,6 +33,8 @@ def _space_from(basis_path: str, semantics_dir: str | None) -> vectorspace.Basis
                 parts = handle.readline().rstrip("\n").split("\t")
             if len(parts) == 3 and parts[0] == "#space":
                 name, kind = parts[1], parts[2]
+                if not name:
+                    raise FileFormatError(f"{nouns_path}:1: space name must be non-empty")
                 if kind not in (vectorspace.PLAIN, vectorspace.STRUCTURED):
                     raise FileFormatError(f"{nouns_path}:1: unknown basis kind: {kind!r}")
     return corpus.read_basis(basis_path, name=name, kind=kind)
@@ -75,13 +77,13 @@ def cmd_build_verb(args) -> int:
     records = [t for t in corpus.read_triples(args.triples) if t.verb == args.verb]
     if not records:
         raise GramsemError(f"verb {args.verb!r} does not occur in {args.triples}")
-    arity = 3 if records[0].iobj else (2 if records[0].obj else 1)
+    arity = None  # the first record's; a record of another arity is skipped
     skipped = 0
     occurrences = []
     for record in records:
-        nouns = [record.subject, record.obj, record.iobj][: arity if arity > 1 else 1]
-        record_arity = 3 if record.iobj else (2 if record.obj else 1)
-        if record_arity != arity or any(n not in vectors for n in nouns if n):
+        nouns = [n for n in (record.subject, record.obj, record.iobj) if n]
+        arity = arity or len(nouns)
+        if len(nouns) != arity or any(n not in vectors for n in nouns):
             skipped += 1
             continue
         occurrence = tuple(vectors[n] for n in nouns)

@@ -18,7 +18,10 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import CompositionError, UngrammaticalError
-from .pregroup import AtomicType, Lexicon, PregroupType, ReductionResult, is_sentence, reduce
+from .pregroup import (
+    ADJECTIVE, DITRANSITIVE_VERB, INTRANSITIVE_VERB, NOUN, TRANSITIVE_VERB, Lexicon, PregroupType,
+    ReductionResult, is_sentence, parse_type, reduce,
+)
 from .vectorspace import (
     BasisRegistry,
     SemTensor,
@@ -230,38 +233,30 @@ def align_orders(a: SentenceMeaning, b: SentenceMeaning) -> tuple[SentenceMeanin
 # ---------------------------------------------------------------------------
 
 
-def _shape(typ: PregroupType) -> list[tuple[str, int]]:
-    """A type as (base, adjoint order) pairs, which compare faster than atoms."""
-    return [(a.base, a.adjoint_order) for a in typ.atoms]
-
-
-def _verb_arity(typ: PregroupType, s_base: str, n_base: str) -> int | None:
-    """1-3 for the verb types ``n^r s``, ``n^r s n^l`` and ``n^r s n^l n^l``, else None."""
-    arity = len(typ.atoms) - 1
-    pattern = [(n_base, 1), (s_base, 0)] + [(n_base, -1)] * (arity - 1)
-    return arity if 1 <= arity <= 3 and _shape(typ) == pattern else None
+# The types a slot plan reads: a noun, a noun modifier, and the verbs by arity.
+_NOUN, _MODIFIER = parse_type(NOUN), parse_type(ADJECTIVE)
+_VERB_ARITY = {parse_type(t): arity for arity, t in
+               enumerate((INTRANSITIVE_VERB, TRANSITIVE_VERB, DITRANSITIVE_VERB), 1)}
 
 
 def _choose_types(
-    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str
+    words: Sequence[str], grammar: Lexicon
 ) -> tuple[tuple[PregroupType, ...], ReductionResult]:
     """Pick one type per word so the string reduces to [s] (or failing that [n])."""
     options = [grammar.types_for(w) for w in words]
     noun_phrase = None
     for combo in product(*options):
         result = reduce(combo)
-        if is_sentence(result, s_base):
+        if is_sentence(result):
             return combo, result
-        if noun_phrase is None and result.residual.atoms == (AtomicType(n_base),):
+        if noun_phrase is None and result.residual == _NOUN:
             noun_phrase = (combo, result)
     if noun_phrase is not None:
         return noun_phrase
     raise UngrammaticalError(f"{' '.join(words)!r} does not reduce to a sentence or noun phrase")
 
 
-def _plan(
-    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str
-) -> tuple[int | None, list[list[int]]]:
+def _plan(words: Sequence[str], grammar: Lexicon) -> tuple[int | None, list[list[int]]]:
     """Read the slot plan off the links of the reduction ``compose_sentence`` uses.
 
     Returns the verb's position (``None`` for a bare noun phrase) and the
@@ -273,8 +268,7 @@ def _plan(
     modifier's ``n^l`` partner leads to the next word, until a noun.
     Raises ``CompositionError`` for any other shape.
     """
-    types, reduction = _choose_types(words, grammar, s_base, n_base)
-    noun, modifier = [(n_base, 0)], [(n_base, 0), (n_base, -1)]
+    types, reduction = _choose_types(words, grammar)
     owner, first = [], []  # the word of each atom, the first atom of each word
     for word, typ in enumerate(types):
         first.append(len(owner))
@@ -286,14 +280,13 @@ def _plan(
 
     def phrase(head: int) -> list[int]:
         word = owner[head]  # a head is the plain n atom, the first of n and of n n^l
-        shape = _shape(types[word])
-        if shape not in (noun, modifier):
+        if types[word] not in (_NOUN, _MODIFIER):
             raise CompositionError("unsupported sentence pattern")
-        return [word] if shape == noun else [word] + phrase(partner[head + 1])
+        return [word] if types[word] == _NOUN else [word] + phrase(partner[head + 1])
 
-    if is_sentence(reduction, s_base):
+    if is_sentence(reduction):
         verb = owner[root]
-        arity = _verb_arity(types[verb], s_base, n_base)
+        arity = _VERB_ARITY.get(types[verb])
         if arity is None:
             raise CompositionError(f"unsupported verb type for composition: {types[verb]}")
         last = first[verb] + len(types[verb]) - 1
@@ -307,11 +300,7 @@ def _plan(
 
 
 def compose_sentence(
-    words: Sequence[str],
-    lex: LexicalSemantics,
-    grammar: Lexicon,
-    s_base: str = "s",
-    n_base: str = "n",
+    words: Sequence[str], lex: LexicalSemantics, grammar: Lexicon
 ) -> SentenceMeaning:
     """Compose a whole sentence (or noun phrase) by its grammatical structure.
 
@@ -322,7 +311,7 @@ def compose_sentence(
     """
     if not words:
         raise CompositionError("cannot compose an empty word sequence")
-    verb, phrases = _plan(words, grammar, s_base, n_base)
+    verb, phrases = _plan(words, grammar)
 
     def noun_vector(phrase: list[int]) -> WeightedVector:
         *adjectives, noun = phrase

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .composition import LexicalSemantics, _plan, align_orders, compose_sentence
+from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compose_sentence
 from .errors import CompositionError, DegenerateDataError, FileFormatError
-from .pregroup import Lexicon, PregroupType, AtomicType
+from .pregroup import SENTENCE, Lexicon
 from .vectorspace import WeightedVector, add, cosine, open_text, pointwise_mul, scale
 
 MODELS = ("categorical", "add", "multiply", "weighted_add", "verb_baseline")
@@ -73,9 +73,7 @@ class ExperimentReport:
         return rows
 
 
-def _word_roles(
-    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str
-) -> list[tuple[str, str]]:
+def _word_roles(words: Sequence[str], grammar: Lexicon) -> list[tuple[str, str]]:
     """Tag each word noun/adj/verb.
 
     The verb is the one ``compose_sentence``'s slot plan finds, so every
@@ -83,17 +81,16 @@ def _word_roles(
     keeps its lexical role, from its first type without ``s``: a noun used
     as a modifier still folds by its noun vector.
     """
-    verb, _ = _plan(words, grammar, s_base, n_base)
-    adjective = PregroupType((AtomicType(n_base), AtomicType(n_base, -1)))
+    verb, _ = _plan(words, grammar)
     roles = []
     for position, word in enumerate(words):
         if position == verb:
             role = "verb"
         else:
             lexical = next(
-                t for t in grammar.types_for(word) if all(a.base != s_base for a in t.atoms)
+                t for t in grammar.types_for(word) if all(a.base != SENTENCE for a in t.atoms)
             )
-            role = "adj" if lexical == adjective else "noun"
+            role = "adj" if lexical == _MODIFIER else "noun"
         roles.append((word, role))
     return roles
 
@@ -126,15 +123,13 @@ def _folded(
     verb_folding: str,
     alpha: float,
     beta: float,
-    s_base: str,
-    n_base: str,
     memo: dict,
 ) -> WeightedVector:
-    key = ("fold", combine, words, verb_folding, alpha, beta, s_base, n_base)
+    key = ("fold", combine, words, verb_folding, alpha, beta)
     out = memo.get(key)
     if out is not None:
         return out
-    roles = _word_roles(words, grammar, s_base, n_base)
+    roles = _word_roles(words, grammar)
     parts = []
     for word, role in roles:
         v = _fold_representation(word, role, lex, verb_folding)
@@ -148,13 +143,11 @@ def _folded(
     return out
 
 
-def _the_verb(
-    words: Sequence[str], grammar: Lexicon, s_base: str, n_base: str, memo: dict
-) -> str:
-    key = ("verb", words, s_base, n_base)
+def _the_verb(words: Sequence[str], grammar: Lexicon, memo: dict) -> str:
+    key = ("verb", words)
     verb = memo.get(key)
     if verb is None:
-        position, _ = _plan(words, grammar, s_base, n_base)
+        position, _ = _plan(words, grammar)
         if position is None:
             raise CompositionError(f"expected a verb in {' '.join(words)!r}")
         verb = memo[key] = words[position]
@@ -185,8 +178,6 @@ def model_similarity(
     alpha: float = 0.5,
     beta: float = 0.5,
     verb_folding: str = "auto",
-    s_base: str = "s",
-    n_base: str = "n",
     memo: dict | None = None,
 ) -> float:
     """Similarity of the pair's sentences under one model, in [-1, 1].
@@ -213,16 +204,16 @@ def model_similarity(
         raise ValueError("a memo serves one lexical semantics and one grammar")
     s1, s2 = pair.sentence_1, pair.sentence_2
     if model == "categorical":
-        m1 = compose_sentence(s1, lex, grammar, s_base, n_base)
-        m2 = compose_sentence(s2, lex, grammar, s_base, n_base)
+        m1 = compose_sentence(s1, lex, grammar)
+        m2 = compose_sentence(s2, lex, grammar)
         m1, m2 = align_orders(m1, m2)
         return cosine(m1.value, m2.value)
     if model == "verb_baseline":
-        v1 = _the_verb(s1, grammar, s_base, n_base, memo)
-        v2 = _the_verb(s2, grammar, s_base, n_base, memo)
+        v1 = _the_verb(s1, grammar, memo)
+        v2 = _the_verb(s2, grammar, memo)
         return _verb_cosine(v1, v2, lex, verb_folding, memo)
-    f1 = _folded(s1, lex, grammar, model, verb_folding, alpha, beta, s_base, n_base, memo)
-    f2 = _folded(s2, lex, grammar, model, verb_folding, alpha, beta, s_base, n_base, memo)
+    f1 = _folded(s1, lex, grammar, model, verb_folding, alpha, beta, memo)
+    f2 = _folded(s2, lex, grammar, model, verb_folding, alpha, beta, memo)
     return cosine(f1, f2)
 
 
@@ -309,8 +300,6 @@ def run_experiment(
     beta: float = 0.5,
     verb_folding: str = "auto",
     annotator_mode: str = "mean",
-    s_base: str = "s",
-    n_base: str = "n",
 ) -> ExperimentReport:
     """Score every pair under every model and correlate with the gold ratings.
 
@@ -333,8 +322,7 @@ def run_experiment(
         scores = [
             model_similarity(
                 pair, model, lex, grammar,
-                alpha=alpha, beta=beta, verb_folding=verb_folding,
-                s_base=s_base, n_base=n_base, memo=memo,
+                alpha=alpha, beta=beta, verb_folding=verb_folding, memo=memo,
             )
             for pair, _ in grouped
         ]

@@ -93,11 +93,13 @@ def parse_type(text: str) -> PregroupType:
     return PregroupType(tuple(parse_atom(p) for p in parts))
 
 
-# Conventional compound types.  Nouns, transitive/intransitive verbs and
-# adjectives follow the standard pregroup assignments; the ditransitive and
-# adverb types are fixed here as the usual choices (three noun arguments,
-# and a right modifier of intransitive verb phrases).
+# The basic types n and s, and the conventional compound types.  Nouns,
+# transitive/intransitive verbs and adjectives follow the standard pregroup
+# assignments; the ditransitive and adverb types are fixed here as the usual
+# choices (three noun arguments, and a right modifier of intransitive verb
+# phrases).
 NOUN = "n"
+SENTENCE = "s"
 TRANSITIVE_VERB = "n^r s n^l"
 INTRANSITIVE_VERB = "n^r s"
 ADJECTIVE = "n n^l"
@@ -254,7 +256,6 @@ def reduce(types: Sequence[PregroupType]) -> ReductionResult:
     return ReductionResult(atoms, tuple(links))
 
 
-def is_sentence(result: ReductionResult, s_base: str = "s") -> bool:
-    """True iff the residual is exactly the single plain atom of ``s_base``."""
-    residual = result.residual.atoms
-    return len(residual) == 1 and residual[0] == AtomicType(s_base, 0)
+def is_sentence(result: ReductionResult) -> bool:
+    """True iff the residual is exactly the single plain atom ``s``."""
+    return result.residual.atoms == (AtomicType(SENTENCE),)

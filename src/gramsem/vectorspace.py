@@ -331,7 +331,7 @@ def _kronecker_sum(
     bare vector if ``order`` is 1), over the first occurrence's space or ``space``.
 
     Sums in place, each key's products in occurrence order and each product
-    left to right: bitwise the fold of ``tensor_add`` over single products.
+    left to right: bitwise the fold of ``add`` over single products.
     """
     if occurrences:
         space = (occurrences[0] if order == 1 else occurrences[0][0]).space
@@ -358,24 +358,11 @@ def _kronecker_sum(
     return SemTensor._trusted(space, order, _kept(total))
 
 
-def kronecker(v: WeightedVector, w: WeightedVector) -> SemTensor:
-    """Tensor product of two vectors: entry (i, j) = v_i * w_j."""
-    return _kronecker_sum(2, [(v, w)])
-
-
-def kronecker3(u: WeightedVector, v: WeightedVector, w: WeightedVector) -> SemTensor:
-    """Order-3 tensor product: entry (i, j, k) = u_i * v_j * w_k."""
-    return _kronecker_sum(3, [(u, v, w)])
-
-
-def tensor_add(a: SemTensor, b: SemTensor) -> SemTensor:
-    """Component-wise sum of two tensors of equal order."""
-    return add(a, b)
-
-
-def tensor_pointwise_mul(a: SemTensor, b: SemTensor) -> SemTensor:
-    """Component-wise product of two tensors of equal order."""
-    return pointwise_mul(a, b)
+def kronecker(*vectors: WeightedVector) -> SemTensor:
+    """Tensor product of two or three vectors: entry (i, j, ...) = u_i * v_j * ..."""
+    if len(vectors) not in (2, 3):
+        raise ValueError(f"kronecker takes two or three vectors, got {len(vectors)}")
+    return _kronecker_sum(len(vectors), [vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +470,7 @@ def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, en
         if labels == ["#order"]:
             if order is None and text in ("1", "2", "3"):
                 return int(text)
-            if text != str(order):
+            if order is None or text != str(order):
                 raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
         return order
     if order is None and 1 <= len(labels) <= 3:

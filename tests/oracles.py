@@ -208,7 +208,7 @@ def oracle_load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int
             if labels == ["#order"]:
                 if order is None and text in ("1", "2", "3"):
                     order = int(text)
-                elif text != str(order):
+                elif order is None or text != str(order):
                     raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
             continue
         if order is None and 1 <= len(labels) <= 3:

@@ -652,6 +652,9 @@ BASIS_FAULTS = {
     "unknown basis kind": (
         "#space\tN\tfancy", ["dog", "cat"], "sem/nouns.tsv", 1, "unknown basis kind: 'fancy'",
     ),
+    "empty space name": (
+        "#space\t\tplain", ["dog", "cat"], "sem/nouns.tsv", 1, "space name must be non-empty",
+    ),
 }
 
 

@@ -82,7 +82,7 @@ def test_compose_sentence_equals_the_hand_composition(data, space, arity):
     for more_words, more_types in phrases[1:]:
         words += more_words
         types += more_types
-    assert _choose_types(words, grammar, "s", "n")[0] == tuple(types)  # the intended parse
+    assert _choose_types(words, grammar)[0] == tuple(types)  # the intended parse
 
     arguments = []
     for phrase_words, _ in phrases:

@@ -319,7 +319,7 @@ def test_ambiguous_verb_is_found_by_the_reduction(world):
 
 def test_noun_modifier_keeps_its_noun_role(world):
     grammar = Lexicon({**world.grammar.entries, "stone": (parse_type("n"), parse_type("n n^l"))})
-    roles = _word_roles(("stone", "knight", "charge", "enemy"), grammar, "s", "n")
+    roles = _word_roles(("stone", "knight", "charge", "enemy"), grammar)
     assert roles == [("stone", "noun"), ("knight", "noun"), ("charge", "verb"), ("enemy", "noun")]
 
 
@@ -350,8 +350,8 @@ def test_word_roles_take_the_verb_from_the_slot_plan():
     # in which it is the verb, and 'dogs run' as a noun phrase has no verb
     grammar = Lexicon({"dogs": (parse_type("n"), parse_type("n n^l")),
                        "run": (parse_type("n"), parse_type("n^r s"))})
-    assert _word_roles(("dogs", "run"), grammar, "s", "n") == [("dogs", "noun"), ("run", "verb")]
-    assert _word_roles(("run",), grammar, "s", "n") == [("run", "noun")]
+    assert _word_roles(("dogs", "run"), grammar) == [("dogs", "noun"), ("run", "verb")]
+    assert _word_roles(("run",), grammar) == [("run", "noun")]
 
 
 # --- one memo per run ------------------------------------------------------------------
@@ -397,7 +397,6 @@ MEMO_OPTIONS = list(
         MODELS,
         ("auto", "tensor", "vector"),
         ((0.5, 0.5), (0.25, 2.0)),
-        (("s", "n"), ("s", "m"), ("t", "n")),
     )
 )
 
@@ -414,13 +413,11 @@ MEMO_OPTIONS = list(
 )
 def test_memo_scores_equal_fresh_scores(lex, pairs, options):
     # a dataset with repeated sentences and verbs, scored under every model,
-    # folding mode, weighting and pair of base names, in any order, all
-    # through one memo: a key that left out an option would hand back a
-    # value computed under another
+    # folding mode and weighting, in any order, all through one memo: a key
+    # that left out an option would hand back a value computed under another
     memo = {}
-    for model, verb_folding, (alpha, beta), (s_base, n_base) in options:
-        kwargs = dict(alpha=alpha, beta=beta, verb_folding=verb_folding,
-                      s_base=s_base, n_base=n_base)
+    for model, verb_folding, (alpha, beta) in options:
+        kwargs = dict(alpha=alpha, beta=beta, verb_folding=verb_folding)
         for s1, s2 in pairs:
             pair = SentencePair("x", s1, s2)
             fresh = _outcome(lambda: model_similarity(pair, model, lex, MEMO_GRAMMAR, **kwargs))

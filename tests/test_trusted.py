@@ -37,7 +37,6 @@ from gramsem.vectorspace import (
     WeightedVector,
     add,
     kronecker,
-    kronecker3,
     load_tensor,
     load_vector,
     load_vectors,
@@ -47,8 +46,6 @@ from gramsem.vectorspace import (
     save_vector,
     save_vectors,
     scale,
-    tensor_add,
-    tensor_pointwise_mul,
 )
 
 SPACES = [BasisRegistry(f"d{d}", tuple("abcd"[:d])) for d in range(1, 5)]
@@ -108,10 +105,9 @@ def test_builders_equal_the_definitional_fold(data, space, order):
         assert built.entries == expected.entries  # exact, not approximate
         assert_valid(built)
     if order > 1:  # the same sum folded through the library's own operations
-        product = kronecker if order == 2 else kronecker3
         folded = SemTensor(space, order, {})
         for vectors in occ:
-            folded = tensor_add(folded, product(*vectors))
+            folded = add(folded, kronecker(*vectors))
         assert folded.entries == expected.entries
 
 
@@ -135,10 +131,10 @@ def test_operation_results_equal_validated_values(data, space):
     u, v, w = (vector(draw, space) for _ in range(3))
     factor = draw(WEIGHTS)
     assert kronecker(u, v).entries == oracle_kronecker((u, v), space).entries
-    assert kronecker3(u, v, w).entries == oracle_kronecker((u, v, w), space).entries
+    assert kronecker(u, v, w).entries == oracle_kronecker((u, v, w), space).entries
     for order in (1, 2, 3):
         a, b = tensor(draw, space, order), tensor(draw, space, order)
-        for value in (tensor_add(a, b), tensor_pointwise_mul(a, b), scale(a, factor)):
+        for value in (add(a, b), pointwise_mul(a, b), scale(a, factor)):
             assert_valid(value)
     diagonal, matrix = tensor(draw, space, 1), tensor(draw, space, 2)
     meanings = [
@@ -151,7 +147,7 @@ def test_operation_results_equal_validated_values(data, space):
         pointwise_mul(u, v),
         scale(u, factor),
         kronecker(u, v),
-        kronecker3(u, v, w),
+        kronecker(u, v, w),
         SemTensor.from_vector(u),
         SemTensor.from_vector(u).to_vector(),
         compose_adjective(diagonal, u),

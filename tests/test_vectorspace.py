@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramsem.errors import SpaceMismatchError
+from gramsem.errors import FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
     PLAIN,
     STRUCTURED,
@@ -15,7 +15,6 @@ from gramsem.vectorspace import (
     cosine,
     inner,
     kronecker,
-    kronecker3,
     load_tensor,
     load_vector,
     load_vectors,
@@ -25,8 +24,6 @@ from gramsem.vectorspace import (
     save_vector,
     save_vectors,
     scale,
-    tensor_add,
-    tensor_pointwise_mul,
 )
 
 SPACE2 = BasisRegistry("two", ("a", "b"))
@@ -167,7 +164,7 @@ def test_kronecker_examples():
 
 def test_kronecker3_example():
     u, v, w = vec(SPACE2, 1, 2), vec(SPACE2, 3, 0), vec(SPACE2, 0, 5)
-    t = kronecker3(u, v, w)
+    t = kronecker(u, v, w)
     expected = {}
     for i, a in enumerate((1.0, 2.0)):
         for j, b in enumerate((3.0, 0.0)):
@@ -177,12 +174,18 @@ def test_kronecker3_example():
     assert t.entries == expected
 
 
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_kronecker_takes_two_or_three_vectors(count):
+    with pytest.raises(ValueError, match=f"two or three vectors, got {count}"):
+        kronecker(*[vec(SPACE2, 1, 2)] * count)
+
+
 def test_tensor_add_and_mul():
     a = SemTensor(SPACE2, 2, {(0, 0): 1.0, (0, 1): 2.0})
     b = SemTensor(SPACE2, 2, {(0, 1): 3.0, (1, 1): 4.0})
-    assert tensor_add(a, b).entries == {(0, 0): 1.0, (0, 1): 5.0, (1, 1): 4.0}
-    assert tensor_add(a, SemTensor(SPACE2, 2, {})) == a
-    assert tensor_pointwise_mul(a, b).entries == {(0, 1): 6.0}
+    assert add(a, b).entries == {(0, 0): 1.0, (0, 1): 5.0, (1, 1): 4.0}
+    assert add(a, SemTensor(SPACE2, 2, {})) == a
+    assert pointwise_mul(a, b).entries == {(0, 1): 6.0}
 
 
 def test_space_and_order_mismatches():
@@ -223,10 +226,10 @@ def test_operations_match_dense_oracle():
         assert norm(u) == pytest.approx(float(np.linalg.norm(du)), rel=1e-12, abs=1e-12)
         assert np.allclose(kronecker(u, v).to_dense(), np.outer(du, dv))
         assert np.allclose(
-            kronecker3(u, v, w).to_dense(), np.einsum("i,j,k->ijk", du, dv, dw)
+            kronecker(u, v, w).to_dense(), np.einsum("i,j,k->ijk", du, dv, dw)
         )
         t1, t2 = kronecker(u, v), kronecker(v, w)
-        assert np.allclose(tensor_add(t1, t2).to_dense(), t1.to_dense() + t2.to_dense())
+        assert np.allclose(add(t1, t2).to_dense(), t1.to_dense() + t2.to_dense())
         nu, nv = np.linalg.norm(du), np.linalg.norm(dv)
         expected = 0.0 if nu == 0 or nv == 0 else float(du @ dv) / (nu * nv)
         assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
@@ -239,7 +242,7 @@ def test_kronecker_bilinear_and_norm_multiplicative():
         u, v, w = (random_sparse(rng, space) for _ in range(3))
         alpha = float(rng.uniform(-3, 3))
         left = kronecker(add(scale(u, alpha), v), w)
-        right = tensor_add(scale(kronecker(u, w), alpha), kronecker(v, w))
+        right = add(scale(kronecker(u, w), alpha), kronecker(v, w))
         for key in left.entries.keys() | right.entries.keys():
             assert left.get(key) == pytest.approx(right.get(key), rel=1e-12, abs=1e-12)
         assert norm(kronecker(u, v)) == pytest.approx(
@@ -278,7 +281,7 @@ def test_tensor_file_round_trip(tmp_path):
     path = tmp_path / "t.tsv"
     save_tensor(path, t)
     assert load_tensor(path, SPACE2) == t
-    three = kronecker3(vec(SPACE2, 1, 2), vec(SPACE2, 3, 4), vec(SPACE2, 5, 6))
+    three = kronecker(vec(SPACE2, 1, 2), vec(SPACE2, 3, 4), vec(SPACE2, 5, 6))
     save_tensor(path, three)
     assert load_tensor(path, SPACE2) == three
 
@@ -342,3 +345,13 @@ def test_load_tensor_checks_the_order_line(tmp_path):
         load_tensor(path, SPACE2)
     path.write_text("#space\ttwo\tplain\n#order\t1\n", encoding="utf-8")
     assert load_tensor(path, SPACE2) == SemTensor(SPACE2, 1, {})
+
+
+def test_load_tensor_rejects_order_none(tmp_path):
+    # 'None' names no order, also while no order is known yet
+    path = tmp_path / "t.tsv"
+    path.write_text("#space\ttwo\tplain\n#order\tNone\na\tb\t1.5\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"{path}:2: order None is not 1-3"):
+        load_tensor(path, SPACE2)
+    with pytest.raises(FileFormatError, match=f"{path}:2: order None is not 2"):
+        load_tensor(path, SPACE2, 2)
