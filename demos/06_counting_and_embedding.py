@@ -13,8 +13,7 @@ from gramsem import (
     BasisRegistry,
     TripleRecord,
     align_orders,
-    compose_intransitive,
-    compose_transitive,
+    contract,
     cosine,
     count_cooccurrence,
     count_properties,
@@ -67,8 +66,8 @@ vectors = raw_vectors(acc)
 sleep = build_intransitive_tensor([vectors["hound"]])
 chase = build_verb_tensor([(vectors["hound"], vectors["hare"]),
                            (vectors["investors"], vectors["hare"])])
-sv = compose_intransitive(vectors["hound"], sleep)
-svo = compose_transitive(vectors["hound"], chase, vectors["hare"])
+sv = contract(sleep, vectors["hound"])
+svo = contract(chase, vectors["hound"], vectors["hare"])
 a, b = align_orders(sv, svo)
 print(f"  'hound sleep' lives in {sv.sentence_space.value}, "
       f"'hound chase hare' in {svo.sentence_space.value}")

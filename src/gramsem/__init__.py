@@ -13,10 +13,9 @@ from .composition import (
     SentenceSpace,
     align_orders,
     compose_adjective,
-    compose_ditransitive,
-    compose_intransitive,
     compose_sentence,
     compose_transitive,
+    contract,
     embed_to_ditransitive,
     embed_to_transitive,
     load_semantics,

@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
     lex = composition.load_semantics(args.semantics_dir, space)
     grammar = pregroup.load_lexicon(args.lexicon)
     dataset = evaluation.read_dataset(args.dataset)
-    models = args.model or _ALL_MODELS
+    models = list(dict.fromkeys(args.model or _ALL_MODELS))  # a repeated --model scores once
     scores = {}
     degenerate = []
     for model in models:

@@ -145,18 +145,6 @@ def compose_transitive(
     return contract(verb, subj, obj)
 
 
-def compose_intransitive(subj: WeightedVector, verb: SemTensor) -> SentenceMeaning:
-    """Meaning of subject-verb: entry i = C_i * subj_i, living in N itself."""
-    return contract(verb, subj)
-
-
-def compose_ditransitive(
-    subj: WeightedVector, verb: SemTensor, obj: WeightedVector, iobj: WeightedVector
-) -> SentenceMeaning:
-    """Meaning with two objects: entry (i, j, k) = C_ijk * subj_i * obj_j * iobj_k."""
-    return contract(verb, subj, obj, iobj)
-
-
 def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
     """Apply an adjective to a noun vector.
 
@@ -374,10 +362,13 @@ def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> Lexica
         for entry in sorted(os.listdir(folder)):
             if not entry.endswith(".tsv"):
                 continue
-            word = entry[: -len(".tsv")]
-            if word in tensors:
-                raise CompositionError(f"duplicate tensor definition for {word!r}")
-            tensors[word] = load_tensor(os.path.join(folder, entry), space)
+            word, path = entry[: -len(".tsv")], os.path.join(folder, entry)
+            if word in tensors:  # only adjectives/<word>.tsv can repeat verbs/<word>.tsv
+                first = os.path.join(directory, "verbs", entry)
+                raise CompositionError(
+                    f"{path}: duplicate tensor definition for {word!r}, also in {first}"
+                )
+            tensors[word] = load_tensor(path, space)
     return LexicalSemantics(space, vectors, tensors)
 
 

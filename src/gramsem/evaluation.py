@@ -10,8 +10,9 @@ HIGH/LOW tag.  Several rows may share an id, one per annotator.  Models:
 * ``weighted_add``  alpha * (noun vectors) + beta * (verb vector),
 * ``verb_baseline`` cosine of the two verb representations alone.
 
-For the folding models a verb contributes its order-1 tensor where it has
-one, or its plain co-occurrence vector; ``verb_folding`` picks the policy.
+For the folding models a verb or adjective contributes its order-1 tensor
+where it has one, else its plain co-occurrence vector.  rho is taken
+against each pair's mean rating.
 """
 
 from __future__ import annotations
@@ -95,44 +96,28 @@ def _word_roles(words: Sequence[str], grammar: Lexicon) -> list[tuple[str, str]]
     return roles
 
 
-def _fold_representation(
-    word: str, role: str, lex: LexicalSemantics, verb_folding: str
-) -> WeightedVector:
-    """The vector a word contributes to the add/multiply/weighted folds."""
-    if role == "noun":
-        return lex.vector(word)
-    tensor = lex.tensors.get(word)
-    if verb_folding == "vector":
-        return lex.vector(word)
-    if tensor is not None and tensor.order == 1:
-        return tensor.to_vector()
-    if verb_folding == "tensor":
-        raise CompositionError(
-            f"cannot fold {word!r}: its tensor has order {tensor.order if tensor else '?'};"
-            " provide a plain vector and use verb_folding='vector' or 'auto'"
-        )
-    # auto: fall back to the word's plain co-occurrence vector
-    return lex.vector(word)
-
-
 def _folded(
     words: Sequence[str],
     lex: LexicalSemantics,
     grammar: Lexicon,
     combine: str,
-    verb_folding: str,
     alpha: float,
     beta: float,
     memo: dict,
 ) -> WeightedVector:
-    key = ("fold", combine, words, verb_folding, alpha, beta)
+    """The add/multiply/weighted fold of a sentence's word vectors.  A word that
+    is not a noun contributes its order-1 tensor, else its plain vector."""
+    key = ("fold", combine, words, alpha, beta)
     out = memo.get(key)
     if out is not None:
         return out
-    roles = _word_roles(words, grammar)
     parts = []
-    for word, role in roles:
-        v = _fold_representation(word, role, lex, verb_folding)
+    for word, role in _word_roles(words, grammar):
+        tensor = lex.tensors.get(word)
+        if role != "noun" and tensor is not None and tensor.order == 1:
+            v = tensor.to_vector()
+        else:
+            v = lex.vector(word)
         if combine == "weighted_add":
             v = scale(v, beta if role == "verb" else alpha)
         parts.append(v)
@@ -154,14 +139,14 @@ def _the_verb(words: Sequence[str], grammar: Lexicon, memo: dict) -> str:
     return verb
 
 
-def _verb_cosine(v1: str, v2: str, lex: LexicalSemantics, verb_folding: str, memo: dict) -> float:
+def _verb_cosine(v1: str, v2: str, lex: LexicalSemantics, memo: dict) -> float:
     """The verb baseline: cosine of the verbs' tensors when their orders agree,
     else of their plain vectors."""
-    key = ("verb_baseline", v1, v2, verb_folding)
+    key = ("verb_baseline", v1, v2)
     value = memo.get(key)
     if value is None:
         t1, t2 = lex.tensors.get(v1), lex.tensors.get(v2)
-        if verb_folding != "vector" and t1 is not None and t2 is not None and t1.order == t2.order:
+        if t1 is not None and t2 is not None and t1.order == t2.order:
             value = cosine(t1, t2)
         else:
             value = cosine(lex.vector(v1), lex.vector(v2))
@@ -177,7 +162,6 @@ def model_similarity(
     *,
     alpha: float = 0.5,
     beta: float = 0.5,
-    verb_folding: str = "auto",
     memo: dict | None = None,
 ) -> float:
     """Similarity of the pair's sentences under one model, in [-1, 1].
@@ -189,14 +173,12 @@ def model_similarity(
 
     ``memo`` is a dict that calls for one ``lex`` and ``grammar`` share, as
     the pairs of one ``run_experiment`` do: it keeps each sentence's verb,
-    each folded sentence vector and each verb-pair cosine, keyed by every
-    option they depend on.  The composed meanings of the categorical model
-    are not kept.
+    each folded sentence vector (keyed by model, words, ``alpha`` and
+    ``beta``) and each ordered verb pair's cosine.  The composed meanings
+    of the categorical model are not kept.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
-    if verb_folding not in ("auto", "tensor", "vector"):
-        raise ValueError(f"unknown verb_folding {verb_folding!r}")
     if memo is None:
         memo = {}
     owner = memo.setdefault("semantics", (lex, grammar))
@@ -211,9 +193,9 @@ def model_similarity(
     if model == "verb_baseline":
         v1 = _the_verb(s1, grammar, memo)
         v2 = _the_verb(s2, grammar, memo)
-        return _verb_cosine(v1, v2, lex, verb_folding, memo)
-    f1 = _folded(s1, lex, grammar, model, verb_folding, alpha, beta, memo)
-    f2 = _folded(s2, lex, grammar, model, verb_folding, alpha, beta, memo)
+        return _verb_cosine(v1, v2, lex, memo)
+    f1 = _folded(s1, lex, grammar, model, alpha, beta, memo)
+    f2 = _folded(s2, lex, grammar, model, alpha, beta, memo)
     return cosine(f1, f2)
 
 
@@ -298,45 +280,30 @@ def run_experiment(
     *,
     alpha: float = 0.5,
     beta: float = 0.5,
-    verb_folding: str = "auto",
-    annotator_mode: str = "mean",
 ) -> ExperimentReport:
     """Score every pair under every model and correlate with the gold ratings.
 
-    With several annotator rows per pair, ``annotator_mode="mean"``
-    correlates against per-pair rating means and ``"pooled"`` repeats each
-    pair's score once per individual rating.  The pairs share one ``memo``
+    Rows sharing an id are one pair rated by several annotators; rho is
+    taken against each pair's mean rating.  The pairs share one ``memo``
     (see ``model_similarity``), so each distinct sentence fold and verb
     pair is scored once.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if annotator_mode not in ("mean", "pooled"):
-        raise ValueError(f"unknown annotator_mode {annotator_mode!r}")
     grouped = _group_rows(dataset)
     if any(not ratings for _, ratings in grouped):
         raise ValueError("every pair needs at least one gold rating")
+    pairs = [pair for pair, _ in grouped]
+    means = [math.fsum(ratings) / len(ratings) for _, ratings in grouped]
     memo: dict = {}
     report: dict[str, ModelScore] = {}
     for model in models:
         scores = [
-            model_similarity(
-                pair, model, lex, grammar,
-                alpha=alpha, beta=beta, verb_folding=verb_folding, memo=memo,
-            )
-            for pair, _ in grouped
+            model_similarity(pair, model, lex, grammar, alpha=alpha, beta=beta, memo=memo)
+            for pair in pairs
         ]
-        if annotator_mode == "mean":
-            xs = scores
-            ys = [math.fsum(ratings) / len(ratings) for _, ratings in grouped]
-        else:
-            xs, ys = [], []
-            for score, (_, ratings) in zip(scores, grouped):
-                xs.extend([score] * len(ratings))
-                ys.extend(ratings)
-        rho = spearman_rho(xs, ys)
-        mean_high, mean_low = high_low_means([p for p, _ in grouped], scores)
-        report[model] = ModelScore(mean_high, mean_low, rho)
+        rho = spearman_rho(scores, means)
+        report[model] = ModelScore(*high_low_means(pairs, scores), rho)
     return ExperimentReport(report)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import shutil
 
 import pytest
 
@@ -302,6 +303,40 @@ def test_eval_command(benchmark_files, capsys, tmp_path):
     assert rows["categorical"][2] > rows["multiply"][2]
     assert rows["categorical"][0] > rows["categorical"][1]
     assert abs(rows["verb_baseline"][2]) <= 0.1
+
+
+def test_eval_scores_a_repeated_model_once(benchmark_files, capsys):
+    _, paths = benchmark_files
+    code, out, err = run(
+        capsys,
+        "eval",
+        "--dataset", paths["dataset"],
+        "--lexicon", paths["lexicon"],
+        "--basis", paths["basis"],
+        "--semantics-dir", paths["semantics"],
+        "--model", "add",
+        "--model", "add",
+    )
+    assert code == 0
+    assert summary_fields(err) == {"models": "1", "scored": "1", "degenerate": ""}
+    assert [line.split()[0] for line in out.splitlines()] == ["Model", "add"]
+
+
+def test_duplicate_tensor_names_both_files(benchmark_files, tmp_path, capsys):
+    _, paths = benchmark_files
+    sem = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], sem)
+    (sem / "adjectives").mkdir()
+    shutil.copy(sem / "verbs" / "bill.tsv", sem / "adjectives" / "bill.tsv")
+    code, out, err = run(
+        capsys, "sim", "knight charge enemy", "knight bill enemy",
+        "--lexicon", paths["lexicon"], "--basis", paths["basis"], "--semantics-dir", str(sem),
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        f"gramsem: {sem / 'adjectives' / 'bill.tsv'}: duplicate tensor definition for 'bill',"
+        f" also in {sem / 'verbs' / 'bill.tsv'}\n"
+    )
 
 
 def test_sim_on_structured_toy_space(tmp_path, capsys):

@@ -21,10 +21,9 @@ from gramsem.composition import (
     SentenceSpace,
     align_orders,
     compose_adjective,
-    compose_ditransitive,
-    compose_intransitive,
     compose_sentence,
     compose_transitive,
+    contract,
     embed_to_ditransitive,
     embed_to_transitive,
     load_semantics,
@@ -109,12 +108,12 @@ def test_compose_intransitive():
     space = BasisRegistry("s", ("x", "y"))
     subj = WeightedVector(space, {0: 2.0, 1: 3.0})
     verb = SemTensor(space, 1, {(0,): 4.0, (1,): 1.0})
-    meaning = compose_intransitive(subj, verb)
+    meaning = contract(verb, subj)
     assert meaning.sentence_space is SentenceSpace.N
     assert meaning.value.entries == {(0,): 8.0, (1,): 3.0}
-    assert compose_intransitive(WeightedVector(space, {}), verb).value.is_zero()
+    assert contract(verb, WeightedVector(space, {})).value.is_zero()
     ones = SemTensor(space, 1, {(0,): 1.0, (1,): 1.0})
-    assert compose_intransitive(subj, ones).value.to_vector() == subj
+    assert contract(ones, subj).value.to_vector() == subj
 
 
 def test_compose_ditransitive_matches_triple_loop():
@@ -126,13 +125,13 @@ def test_compose_ditransitive_matches_triple_loop():
     s = WeightedVector(space, {0: 1.5, 1: -0.5})
     o = WeightedVector(space, {0: 2.0})
     io = WeightedVector(space, {1: 3.0})
-    meaning = compose_ditransitive(s, verb, o, io)
+    meaning = contract(verb, s, o, io)
     dense = verb.to_dense() * np.einsum(
         "i,j,k->ijk", s.to_dense(), o.to_dense(), io.to_dense()
     )
     assert np.allclose(meaning.value.to_dense(), dense, rtol=1e-12)
     zero = WeightedVector(space, {})
-    assert compose_ditransitive(zero, verb, o, io).value.is_zero()
+    assert contract(verb, zero, o, io).value.is_zero()
 
 
 def test_compose_adjective_examples():
@@ -285,7 +284,7 @@ def test_compose_sentence_ditransitive():
     verb = SemTensor(space, 3, {(0, 1, 0): 2.0, (0, 1, 1): 5.0})
     lex = LexicalSemantics(space, vectors, {"give": verb})
     meaning = compose_sentence(["ann", "give", "bob", "cup"], lex, grammar)
-    direct = compose_ditransitive(vectors["ann"], verb, vectors["bob"], vectors["cup"])
+    direct = contract(verb, vectors["ann"], vectors["bob"], vectors["cup"])
     assert meaning.value == direct.value
 
 

@@ -188,14 +188,18 @@ def test_unknown_model_and_folding():
     pair = SentencePair("x", ("knight", "charge", "enemy"), ("knight", "storm", "enemy"))
     with pytest.raises(ValueError):
         model_similarity(pair, "quantum", b.lex, b.grammar)
-    with pytest.raises(ValueError):
-        model_similarity(pair, "multiply", b.lex, b.grammar, verb_folding="magic")
-    # strict tensor folding refuses an order-2 tensor
-    with pytest.raises(CompositionError):
-        model_similarity(pair, "multiply", b.lex, b.grammar, verb_folding="tensor")
-    # strict vector folding works (plain verb vectors exist here)
-    value = model_similarity(pair, "multiply", b.lex, b.grammar, verb_folding="vector")
-    assert 0.0 <= value <= 1.0
+
+
+def test_fold_weights_change_weighted_add_scores():
+    # at the default 0.5/0.5 scaling is exact in binary floating point, so
+    # weighted_add equals add; other weights must reach the score
+    b = two_sense_benchmark()
+
+    def scores(model, **weights):
+        return [model_similarity(pair, model, b.lex, b.grammar, **weights) for pair in b.dataset]
+
+    assert scores("weighted_add") == scores("add")
+    assert scores("weighted_add", alpha=0.25, beta=2.0) != scores("add")
 
 
 def test_multiply_equals_categorical_on_intransitive_when_reps_agree():
@@ -265,17 +269,10 @@ def test_run_experiment_annotator_modes(world):
         out.append(SentencePair("p3", ("army", "charge", "rival"), ("army", "bill", "rival"), 2.0, LOW))
         return out
 
+    # rho is taken against each pair's mean rating: 6.0, 2.0 and 2.0
     dataset = rows([7.0, 5.0], [1.0, 3.0])
     mean_report = run_experiment(dataset, ["categorical"], world.lex, world.grammar)
-    pooled_report = run_experiment(
-        dataset, ["categorical"], world.lex, world.grammar, annotator_mode="pooled"
-    )
     assert mean_report.scores["categorical"].rho == pytest.approx(1.0)
-    assert pooled_report.scores["categorical"].rho == pytest.approx(
-        oracle_spearman([1.0, 1.0, 0.0, 0.0, 0.0], [7.0, 5.0, 1.0, 3.0, 2.0]), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        run_experiment(dataset, ["categorical"], world.lex, world.grammar, annotator_mode="median")
 
 
 def test_run_experiment_validation(world):
@@ -392,13 +389,7 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-MEMO_OPTIONS = list(
-    itertools.product(
-        MODELS,
-        ("auto", "tensor", "vector"),
-        ((0.5, 0.5), (0.25, 2.0)),
-    )
-)
+MEMO_OPTIONS = list(itertools.product(MODELS, ((0.5, 0.5), (0.25, 2.0))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,12 +403,12 @@ MEMO_OPTIONS = list(
     options=st.permutations(MEMO_OPTIONS),
 )
 def test_memo_scores_equal_fresh_scores(lex, pairs, options):
-    # a dataset with repeated sentences and verbs, scored under every model,
-    # folding mode and weighting, in any order, all through one memo: a key
-    # that left out an option would hand back a value computed under another
+    # a dataset with repeated sentences and verbs, scored under every model
+    # and weighting, in any order, all through one memo: a key that left out
+    # an option would hand back a value computed under another
     memo = {}
-    for model, verb_folding, (alpha, beta) in options:
-        kwargs = dict(alpha=alpha, beta=beta, verb_folding=verb_folding)
+    for model, (alpha, beta) in options:
+        kwargs = dict(alpha=alpha, beta=beta)
         for s1, s2 in pairs:
             pair = SentencePair("x", s1, s2)
             fresh = _outcome(lambda: model_similarity(pair, model, lex, MEMO_GRAMMAR, **kwargs))

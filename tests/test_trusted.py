@@ -19,9 +19,8 @@ from oracles import oracle_kronecker, oracle_kronecker_sum
 from gramsem.composition import (
     SentenceMeaning,
     compose_adjective,
-    compose_ditransitive,
-    compose_intransitive,
     compose_transitive,
+    contract,
     embed_to_ditransitive,
     embed_to_transitive,
 )
@@ -138,9 +137,9 @@ def test_operation_results_equal_validated_values(data, space):
             assert_valid(value)
     diagonal, matrix = tensor(draw, space, 1), tensor(draw, space, 2)
     meanings = [
-        compose_intransitive(u, diagonal),
+        contract(diagonal, u),
         compose_transitive(u, matrix, v),
-        compose_ditransitive(u, tensor(draw, space, 3), v, w),
+        contract(tensor(draw, space, 3), u, v, w),
     ]
     for value in (
         add(u, v),
