@@ -19,7 +19,6 @@ from .composition import (
     embed_to_ditransitive,
     embed_to_transitive,
     load_semantics,
-    save_semantics,
     truth_meaning,
     truth_theoretic_verb,
     truth_value,

@@ -52,7 +52,8 @@ def cmd_build_nouns(args) -> int:
     documents = corpus.read_corpus(args.corpus)
     if not documents:
         raise GramsemError(f"corpus file {args.corpus} has no documents")
-    targets = sorted({token for doc in documents for token in doc})
+    # A word starting with '#' would read back as a comment row of nouns.tsv.
+    targets = sorted(word for word in set().union(*documents) if word[0] != "#")
     acc = corpus.count_cooccurrence(documents, targets, space, window=args.window)
     vectors = corpus.tfidf(acc) if args.weighting == "tfidf" else corpus.raw_vectors(acc)
     out = args.out or "nouns.tsv"
@@ -64,64 +65,56 @@ def cmd_build_nouns(args) -> int:
     return 0
 
 
-def _load_noun_vectors(args, space):
+def _build_tensor(args, kind: str, word: str, records, builders, skipped_key: str) -> int:
+    """Sum the argument vectors of ``word``'s occurrences into its tensor,
+    save it under ``<dir>/<kind>s/`` and print the summary.
+
+    ``records(path)`` yields each record of the records file as the
+    relational word and its argument nouns; ``builders`` maps an arity to
+    its tensor builder.  The first occurrence fixes the arity: one of
+    another arity, or with a noun that has no vector, is skipped and
+    counted under ``skipped_key``.
+    """
+    space = _space_from(args.basis, args.semantics_dir)
     nouns_path = os.path.join(args.semantics_dir, "nouns.tsv")
     if not os.path.exists(nouns_path):
         raise GramsemError(f"{nouns_path} not found; run build-nouns first")
-    return vectorspace.load_vectors(nouns_path, space)
+    vectors = vectorspace.load_vectors(nouns_path, space)
+    occurrences = [nouns for head, nouns in records(args.triples) if head == word]
+    if not occurrences:
+        raise GramsemError(f"{kind} {word!r} does not occur in {args.triples}")
+    arity = len(occurrences[0])
+    kept = [
+        tuple(vectors[n] for n in nouns)
+        for nouns in occurrences
+        if len(nouns) == arity and all(n in vectors for n in nouns)
+    ]
+    tensor = builders[arity]([k[0] for k in kept] if arity == 1 else kept, space=space)
+    out = args.out or os.path.join(args.semantics_dir, f"{kind}s", f"{word}.tsv")
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    vectorspace.save_tensor(out, tensor)
+    skipped = len(occurrences) - len(kept)
+    _summary(**{kind: word, "occurrences": len(kept), skipped_key: skipped, "written": out})
+    return 0
 
 
 def cmd_build_verb(args) -> int:
-    space = _space_from(args.basis, args.semantics_dir)
-    vectors = _load_noun_vectors(args, space)
-    records = [t for t in corpus.read_triples(args.triples) if t.verb == args.verb]
-    if not records:
-        raise GramsemError(f"verb {args.verb!r} does not occur in {args.triples}")
-    arity = None  # the first record's; a record of another arity is skipped
-    skipped = 0
-    occurrences = []
-    for record in records:
-        nouns = [n for n in (record.subject, record.obj, record.iobj) if n]
-        arity = arity or len(nouns)
-        if len(nouns) != arity or any(n not in vectors for n in nouns):
-            skipped += 1
-            continue
-        occurrence = tuple(vectors[n] for n in nouns)
-        occurrences.append(occurrence[0] if arity == 1 else occurrence)
-    builder = {
-        1: corpus.build_intransitive_tensor,
-        2: corpus.build_verb_tensor,
-        3: corpus.build_ditransitive_tensor,
-    }[arity]
-    tensor = builder(occurrences, space=space)
-    out = args.out or os.path.join(args.semantics_dir, "verbs", f"{args.verb}.tsv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    vectorspace.save_tensor(out, tensor)
-    _summary(verb=args.verb, occurrences=len(occurrences), skipped_triples=skipped, written=out)
-    return 0
+    def records(path):
+        for t in corpus.read_triples(path):
+            yield t.verb, [n for n in (t.subject, t.obj, t.iobj) if n]
+
+    builders = {1: corpus.build_intransitive_tensor, 2: corpus.build_verb_tensor,
+                3: corpus.build_ditransitive_tensor}
+    return _build_tensor(args, "verb", args.verb, records, builders, "skipped_triples")
 
 
 def cmd_build_adj(args) -> int:
-    space = _space_from(args.basis, args.semantics_dir)
-    vectors = _load_noun_vectors(args, space)
-    pairs = [p for p in corpus.read_adjective_pairs(args.triples) if p[0] == args.adjective]
-    if not pairs:
-        raise GramsemError(f"adjective {args.adjective!r} does not occur in {args.triples}")
-    skipped = 0
-    arguments = []
-    for _, noun in pairs:
-        if noun not in vectors:
-            skipped += 1
-            continue
-        arguments.append(vectors[noun])
-    tensor = corpus.build_adjective_tensor(arguments, space=space)
-    out = args.out or os.path.join(args.semantics_dir, "adjectives", f"{args.adjective}.tsv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    vectorspace.save_tensor(out, tensor)
-    _summary(
-        adjective=args.adjective, occurrences=len(arguments), skipped_pairs=skipped, written=out
-    )
-    return 0
+    def records(path):
+        for adjective, noun in corpus.read_adjective_pairs(path):
+            yield adjective, [noun]
+
+    builders = {1: corpus.build_adjective_tensor}
+    return _build_tensor(args, "adjective", args.adjective, records, builders, "skipped_pairs")
 
 
 def cmd_sim(args) -> int:
@@ -153,6 +146,8 @@ def cmd_eval(args) -> int:
             print(f"gramsem: {model}: {exc}", file=sys.stderr)
             degenerate.append(model)
             continue
+        except ValueError as exc:  # a fault of the dataset as a whole
+            raise FileFormatError(f"{args.dataset}: {exc}") from None
         scores.update(report.scores)
     _summary(models=len(models), scored=len(scores), degenerate=",".join(degenerate))
     if not scores:

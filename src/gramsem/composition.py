@@ -30,8 +30,6 @@ from .vectorspace import (
     load_tensor,
     load_vectors,
     pointwise_mul,
-    save_tensor,
-    save_vectors,
 )
 
 
@@ -370,20 +368,3 @@ def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> Lexica
                 )
             tensors[word] = load_tensor(path, space)
     return LexicalSemantics(space, vectors, tensors)
-
-
-def save_semantics(
-    directory: str | os.PathLike,
-    lex: LexicalSemantics,
-    adjectives: Sequence[str] = (),
-) -> None:
-    """Write the directory layout; ``adjectives`` names the tensors that go
-    under adjectives/ (order-1 tensors are otherwise intransitive verbs)."""
-    directory = os.fspath(directory)
-    os.makedirs(os.path.join(directory, "verbs"), exist_ok=True)
-    os.makedirs(os.path.join(directory, "adjectives"), exist_ok=True)
-    save_vectors(os.path.join(directory, "nouns.tsv"), lex.vectors, lex.space)
-    adjective_set = set(adjectives)
-    for word, tensor in sorted(lex.tensors.items()):
-        sub = "adjectives" if word in adjective_set else "verbs"
-        save_tensor(os.path.join(directory, sub, f"{word}.tsv"), tensor)

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import FileFormatError, SpaceMismatchError
+from .errors import FileFormatError
 from .vectorspace import (
     PLAIN,
     STRUCTURED,
@@ -50,8 +50,7 @@ class TripleRecord:
 class CountAccumulator:
     """Mutable counting state: per-target basis counts plus document frequencies.
 
-    The only mutable stage of the pipeline; builders fill one (or several,
-    in parallel) and ``merge`` combines them by pointwise sum.
+    The only mutable stage of the pipeline.
     """
 
     space: BasisRegistry
@@ -65,20 +64,6 @@ class CountAccumulator:
 
     def count(self, target: str, label: str) -> int:
         return self.counts.get(target, {}).get(self.space.index(label), 0)
-
-    def merge(self, other: "CountAccumulator") -> "CountAccumulator":
-        """Pointwise-sum combination; doc_count is additive."""
-        if self.space != other.space:
-            raise SpaceMismatchError("cannot merge accumulators over different spaces")
-        merged = CountAccumulator(self.space)
-        for acc in (self, other):
-            for target, row in acc.counts.items():
-                for i, c in row.items():
-                    merged.bump(target, i, c)
-            for i, c in acc.doc_frequency.items():
-                merged.doc_frequency[i] = merged.doc_frequency.get(i, 0) + c
-            merged.doc_count += acc.doc_count
-        return merged
 
 
 def count_cooccurrence(

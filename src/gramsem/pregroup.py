@@ -4,7 +4,7 @@ A type is a sequence of atoms ``base^z`` where the integer z counts adjoint
 steps: 0 is the plain type, +1 the right adjoint (written ``n^r``), -1 the
 left adjoint (``n^l``), and larger magnitudes iterate (``n^ll`` is z = -2).
 Adjacent atoms ``x^z x^(z+1)`` cancel, and a word string is grammatical when
-its concatenated types cancel down to the lone sentence atom.
+its types, written one after another, cancel down to the lone sentence atom.
 
 Reduction here is the eager single pass: the string is scanned left to
 right and an incoming atom cancels the top of a stack whenever it can.
@@ -67,9 +67,6 @@ class PregroupType:
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.atoms) if self.atoms else "1"
 
-    def concat(self, other: "PregroupType") -> "PregroupType":
-        return PregroupType(self.atoms + other.atoms)
-
 
 _ATOM_RE = re.compile(r"^([^\s^]+)(?:\^([rl]+))?$")
 
@@ -95,16 +92,14 @@ def parse_type(text: str) -> PregroupType:
 
 # The basic types n and s, and the conventional compound types.  Nouns,
 # transitive/intransitive verbs and adjectives follow the standard pregroup
-# assignments; the ditransitive and adverb types are fixed here as the usual
-# choices (three noun arguments, and a right modifier of intransitive verb
-# phrases).
+# assignments; the ditransitive type is fixed here as the usual choice
+# (three noun arguments).
 NOUN = "n"
 SENTENCE = "s"
 TRANSITIVE_VERB = "n^r s n^l"
 INTRANSITIVE_VERB = "n^r s"
 ADJECTIVE = "n n^l"
 DITRANSITIVE_VERB = "n^r s n^l n^l"
-ADVERB = "s^r n^rr n^r s"
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ class BasisRegistry:
         for i, label in enumerate(labels):
             if not label:
                 raise ValueError("basis labels must be non-empty")
+            if label[0] == "#":  # files read a row that starts with '#' as a comment
+                raise ValueError(f"basis label {label!r} starts with '#'")
             if label in index:
                 raise ValueError(f"duplicate basis label: {label!r}")
             if self.kind == STRUCTURED and not _is_rel_word(label):
@@ -169,7 +171,7 @@ class SemTensor:
 
     Order-2 tensors hold transitive-verb (and general adjective) weights,
     order-3 ditransitive weights, order-1 the diagonal form used for
-    intransitive verbs, adjectives and adverbs.
+    intransitive verbs and adjectives.
     """
 
     space: BasisRegistry
@@ -328,12 +330,12 @@ def _kronecker_sum(
     order: int, occurrences: Sequence, space: BasisRegistry | None = None
 ) -> SemTensor:
     """Sum of the Kronecker products of each occurrence's ``order`` vectors (a
-    bare vector if ``order`` is 1), over the first occurrence's space or ``space``.
+    bare vector if ``order`` is 1), over ``space``, else the first occurrence's.
 
     Sums in place, each key's products in occurrence order and each product
     left to right: bitwise the fold of ``add`` over single products.
     """
-    if occurrences:
+    if space is None and occurrences:
         space = (occurrences[0] if order == 1 else occurrences[0][0]).space
     if space is None:
         raise ValueError("an empty occurrence list needs an explicit space")
@@ -487,18 +489,6 @@ def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, en
     return order
 
 
-def save_vector(path: str | os.PathLike, v: WeightedVector) -> None:
-    with atomic_write(path) as handle:
-        _write_header(handle, v.space)
-        for label, w in sorted(v.labelled().items()):
-            handle.write(f"{label}\t{w!r}\n")
-
-
-def load_vector(path: str | os.PathLike, space: BasisRegistry) -> WeightedVector:
-    """Read a ``label<TAB>weight`` file: the rows of an order-1 tensor file."""
-    return load_tensor(path, space, 1).to_vector()
-
-
 def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
     with atomic_write(path) as handle:
         _write_header(handle, t.space)
@@ -507,13 +497,12 @@ def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
             handle.write("\t".join(labels) + f"\t{w!r}\n")
 
 
-def load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None = None) -> SemTensor:
-    """Read a tensor file, checking each row once.  The order is ``order``, else
-    the '#order' line's, else the first row's; a '#order' line must agree."""
-    if order not in (None, 1, 2, 3):
-        raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
+def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
+    """Read a tensor file, checking each row once.  The order is the '#order'
+    line's, else the first row's; a later '#order' line must agree."""
     index = space._index
     entries: dict[tuple[int, ...], float] = {}
+    order = None
     with open_text(path) as handle:
         _check_header(handle, path, space)
         for lineno, line in enumerate(handle, 2):
@@ -530,8 +519,8 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None
                 else:  # until a '#order' line or the first row sets it
                     raise KeyError(order)
                 w = float(text)
-                # w - w is nonzero only for inf and nan; a row starting with '#' is a comment
-                if key in entries or w - w or a[0] == "#":
+                # w - w is nonzero only for inf and nan; no label starts with '#' as comments do
+                if key in entries or w - w:
                     raise KeyError(key)
             except (KeyError, ValueError):
                 order = _read_tensor_line(path, lineno, line, space, order, entries)
@@ -545,10 +534,13 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None
 def save_vectors(
     path: str | os.PathLike, vectors: Mapping[str, WeightedVector], space: BasisRegistry
 ) -> None:
-    """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``."""
+    """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``.
+    A word starting with '#' is refused: its rows would read as comments."""
     with atomic_write(path) as handle:
         _write_header(handle, space)
         for word in sorted(vectors):
+            if word[:1] == "#":
+                raise ValueError(f"word {word!r} starts with '#'")
             v = vectors[word]
             if v.space != space:
                 raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")

@@ -11,7 +11,16 @@ Two small worlds are used throughout:
   acceptance suite).
 """
 
-from gramsem.vectorspace import STRUCTURED, BasisRegistry, SemTensor, WeightedVector
+import os
+
+from gramsem.vectorspace import (
+    STRUCTURED,
+    BasisRegistry,
+    SemTensor,
+    WeightedVector,
+    save_tensor,
+    save_vectors,
+)
 
 # --- structured toy space ---------------------------------------------------
 
@@ -98,3 +107,17 @@ def show_oracle_entry(i: int, j: int) -> float:
     for subject, _, obj in SHOW_TRIPLES:
         total += SAMPLE_NOUNS[subject][i] * SAMPLE_NOUNS[obj][j]
     return total
+
+
+# --- semantics directories ----------------------------------------------------
+
+
+def save_semantics(directory, lex, adjectives=()) -> None:
+    """Write ``lex`` in the layout ``load_semantics`` reads: nouns.tsv, and each
+    tensor under adjectives/ if ``adjectives`` names it, else under verbs/."""
+    for sub in ("verbs", "adjectives"):
+        os.makedirs(os.path.join(directory, sub), exist_ok=True)
+    save_vectors(os.path.join(directory, "nouns.tsv"), lex.vectors, lex.space)
+    for word, tensor in sorted(lex.tensors.items()):
+        sub = "adjectives" if word in adjectives else "verbs"
+        save_tensor(os.path.join(directory, sub, f"{word}.tsv"), tensor)

@@ -194,11 +194,10 @@ def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
     return w
 
 
-def oracle_load_tensor(path: str | os.PathLike, space: BasisRegistry, order: int | None = None) -> SemTensor:
-    """Read a tensor file, checking each row once.  The order is ``order``, else
-    the '#order' line's, else the first row's; a '#order' line must agree."""
-    if order not in (None, 1, 2, 3):
-        raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
+def oracle_load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
+    """Read a tensor file, checking each row once.  The order is the '#order'
+    line's, else the first row's; a later '#order' line must agree."""
+    order = None
     index = space._index
     entries: dict[tuple[int, ...], float] = {}
     zero = False

@@ -214,6 +214,27 @@ def test_build_adj(sample_world, capsys):
     assert code == 1 and "tiny" in err
 
 
+def test_build_adj_and_build_verb_of_one_argument_agree(sample_world, capsys):
+    # 'W' as an adjective of each noun and as an intransitive verb of each
+    # noun sums the same vectors: the two commands write the same rows
+    (sample_world / "pairs.tsv").write_text("W\tmap\nW\tghost\nW\tresult\n", encoding="utf-8")
+    (sample_world / "triples.tsv").write_text("map\tW\nghost\tW\nresult\tW\n", encoding="utf-8")
+    common = ("--basis", str(sample_world / "basis.txt"),
+              "--semantics-dir", str(sample_world / "sem"))
+    code, _, err = run(capsys, "build-adj", "W",
+                       "--triples", str(sample_world / "pairs.tsv"), *common)
+    assert code == 0
+    adjective = summary_fields(err)
+    code, _, err = run(capsys, "build-verb", "W",
+                       "--triples", str(sample_world / "triples.tsv"), *common)
+    assert code == 0
+    verb = summary_fields(err)
+    assert (adjective["occurrences"], adjective["skipped_pairs"]) == ("2", "1")
+    assert (verb["occurrences"], verb["skipped_triples"]) == ("2", "1")
+    written = [sample_world / "sem" / sub / "W.tsv" for sub in ("adjectives", "verbs")]
+    assert written[0].read_bytes() == written[1].read_bytes()
+
+
 @pytest.fixture(scope="module")
 def benchmark_files(tmp_path_factory):
     world = two_sense_benchmark()
@@ -340,8 +361,10 @@ def test_duplicate_tensor_names_both_files(benchmark_files, tmp_path, capsys):
 
 
 def test_sim_on_structured_toy_space(tmp_path, capsys):
-    from fixtures import TOY_LABELS, TOY_NOUNS, TOY_SPACE, toy_chase, toy_fluffy, toy_vector
-    from gramsem.composition import LexicalSemantics, save_semantics
+    from fixtures import (
+        TOY_LABELS, TOY_NOUNS, TOY_SPACE, save_semantics, toy_chase, toy_fluffy, toy_vector,
+    )
+    from gramsem.composition import LexicalSemantics
     from gramsem.pregroup import save_lexicon, standard_lexicon
 
     (tmp_path / "basis.txt").write_text(
@@ -407,8 +430,8 @@ def test_no_partial_outputs_on_failure(tiny_world, capsys):
 def toy_world(tmp_path):
     """The structured toy space saved as a semantics directory, with a
     lexicon and a two-pair dataset, ready for sim and eval."""
-    from fixtures import TOY_LABELS, TOY_NOUNS, TOY_SPACE, toy_chase, toy_vector
-    from gramsem.composition import LexicalSemantics, save_semantics
+    from fixtures import TOY_LABELS, TOY_NOUNS, TOY_SPACE, save_semantics, toy_chase, toy_vector
+    from gramsem.composition import LexicalSemantics
     from gramsem.pregroup import save_lexicon, standard_lexicon
 
     (tmp_path / "basis.txt").write_text("".join(f"{x}\n" for x in TOY_LABELS), encoding="utf-8")
@@ -463,6 +486,30 @@ def test_malformed_semantics_row_names_path_and_line(toy_world, capsys, case, wh
 def test_sim_and_eval_run_on_the_toy_world(toy_world, capsys):
     assert query(capsys, toy_world, "sim")[0] == 0
     assert query(capsys, toy_world, "eval")[0] == 0
+
+
+DATASET_FAULTS = {
+    # case: (dataset text, message after the path)
+    "empty": ("# no pairs\n", "empty dataset"),
+    "unrated": ("p1\tdogs chase cats\tcats chase dogs\n",
+                "every pair needs at least one gold rating"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_FAULTS))
+def test_dataset_fault_names_the_dataset(toy_world, capsys, case):
+    text, message = DATASET_FAULTS[case]
+    dataset = toy_world / "dataset.tsv"
+    dataset.write_text(text, encoding="utf-8")
+    report_path = toy_world / "report.tsv"
+    code, out, err = run(
+        capsys, "eval", "--dataset", str(dataset), "--lexicon", str(toy_world / "lexicon.tsv"),
+        "--basis", str(toy_world / "basis.txt"), "--semantics-dir", str(toy_world / "sem"),
+        "--out", str(report_path),
+    )
+    assert code == 1 and out == ""
+    assert err == f"gramsem: {dataset}: {message}\n"
+    assert not report_path.exists()
 
 
 def test_missing_output_directory_is_named(tiny_world, capsys):
@@ -571,6 +618,24 @@ def test_build_nouns_counts_zero_vectors(tmp_path, capsys):
     assert code == 0
     assert summary_fields(err)["zero_vectors"] == "1"
     assert "far" not in load_vectors(out_path, space)
+
+
+def test_build_nouns_leaves_out_words_starting_with_hash(tmp_path, capsys):
+    # a '#tag' row in nouns.tsv would read back as a comment: the word would
+    # vanish and later commands would call it out of vocabulary
+    (tmp_path / "corpus.txt").write_text("#tag cat dog\n", encoding="utf-8")
+    (tmp_path / "basis.txt").write_text("cat\ndog\n", encoding="utf-8")
+    out_path = tmp_path / "nouns.tsv"
+    code, _, err = run(capsys, "build-nouns", "--corpus", str(tmp_path / "corpus.txt"),
+                       "--basis", str(tmp_path / "basis.txt"), "--out", str(out_path),
+                       "--weighting", "raw")
+    assert code == 0
+    assert summary_fields(err)["targets"] == "2"
+    rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and not [row for row in rows if row.startswith("#")]
+    assert sorted(load_vectors(out_path, read_basis(tmp_path / "basis.txt", name="N"))) == [
+        "cat", "dog",
+    ]
 
 
 READER_FAULTS = {

@@ -10,6 +10,7 @@ from fixtures import (
     FLUFFY_DIAGONAL,
     TOY_NOUNS,
     TOY_SPACE,
+    save_semantics,
     toy_chase,
     toy_fluffy,
     toy_vector,
@@ -27,7 +28,6 @@ from gramsem.composition import (
     embed_to_ditransitive,
     embed_to_transitive,
     load_semantics,
-    save_semantics,
     truth_meaning,
     truth_theoretic_verb,
     truth_value,

@@ -201,37 +201,6 @@ def test_raw_vectors():
     assert raw_vectors(acc)["t"].get(0) == 4.0
 
 
-# --- accumulator merging ------------------------------------------------------------
-
-
-def _count_all(docs):
-    return count_cooccurrence(docs, ["a"], PLAIN_SPACE, window=2)
-
-
-def test_merge_equals_whole_stream():
-    docs = [["a", "b"], ["c", "a", "b"], ["d"], ["a", "d", "b", "a"]]
-    whole = _count_all(docs)
-    chunked = _count_all(docs[:2]).merge(_count_all(docs[2:]))
-    assert chunked.counts == whole.counts
-    assert chunked.doc_frequency == whole.doc_frequency
-    assert chunked.doc_count == whole.doc_count
-
-
-def test_merge_associative_commutative():
-    a, b, c = _count_all([["a", "b"]]), _count_all([["a", "c", "b"]]), _count_all([["d", "a"]])
-
-    def state(acc):
-        return (acc.counts, acc.doc_frequency, acc.doc_count)
-
-    assert state(a.merge(b)) == state(b.merge(a))
-    assert state(a.merge(b).merge(c)) == state(a.merge(b.merge(c)))
-
-
-def test_merge_space_mismatch():
-    with pytest.raises(SpaceMismatchError):
-        CountAccumulator(PLAIN_SPACE).merge(CountAccumulator(PROP_SPACE))
-
-
 # --- tensor builders ------------------------------------------------------------------
 
 
@@ -291,6 +260,16 @@ def test_builders_reject_space_mismatch():
     other = BasisRegistry("other", ("x", "y"))
     with pytest.raises(SpaceMismatchError):
         build_verb_tensor([(sample_vector("map"), WeightedVector(other, {0: 1.0}))])
+
+
+def test_builders_honour_an_explicit_space():
+    other = BasisRegistry("other", ("x", "y"))
+    u = WeightedVector(other, {0: 1.0})
+    with pytest.raises(SpaceMismatchError):
+        build_verb_tensor([(u, u)], space=SAMPLE_SPACE)
+    with pytest.raises(SpaceMismatchError):
+        build_adjective_tensor([u], space=SAMPLE_SPACE)
+    assert build_verb_tensor([(u, u)], space=other).space == other
 
 
 # --- readers -----------------------------------------------------------------------------

@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 from oracles import oracle_load_tensor, oracle_load_vectors
 from gramsem.vectorspace import BasisRegistry, load_tensor, load_vectors
 
-SPACES = [
-    BasisRegistry("s", ("a", "b", "c")),
-    # labels that read as comments or as the order line when they lead a row
-    BasisRegistry("h", ("a", "#b", "#order")),
-]
+SPACE = BasisRegistry("s", ("a", "b", "c"))
 GOOD_WEIGHTS = st.one_of(
     st.sampled_from(["1.5", "-2.0", "0.0", "-0.0", "0", "1e-300", " 3", "1_0", "2.5e3"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -36,16 +32,13 @@ SETTINGS = settings(max_examples=500, deadline=None)
 
 @st.composite
 def files(draw, words):
-    """A space, the order to load with (mostly none or the file's) and the
-    bytes of a file: a header (mostly right), valid rows of one order (1 for
-    a collection) with blank, comment and '#order' lines between them, up
-    to two faulty lines, and maybe no final newline or a byte that is not
-    UTF-8."""
-    space = draw(st.sampled_from(SPACES))
+    """The bytes of a file: a header (mostly right), valid rows of one order
+    (1 for a collection) with blank, comment and '#order' lines between
+    them, up to two faulty lines, and maybe no final newline or a byte that
+    is not UTF-8."""
     order = 1 if words else draw(st.sampled_from([1, 2, 3]))
-    given = draw(st.sampled_from([None, None, order, order, 1, 2, 3]))
-    header = draw(st.sampled_from([f"#space\t{space.name}\tplain"] * 9 + ["#space\tother\tplain"]))
-    labels = st.tuples(*[st.sampled_from(space.labels)] * order)
+    header = draw(st.sampled_from([f"#space\t{SPACE.name}\tplain"] * 9 + ["#space\tother\tplain"]))
+    labels = st.tuples(*[st.sampled_from(SPACE.labels)] * order)
     keys = draw(st.lists(st.tuples(st.sampled_from(words or [""]), labels), max_size=12, unique=True))
     rows = [[word, *key] if words else list(key) for word, key in keys]
     lines = ["\t".join([*row, draw(GOOD_WEIGHTS)]) for row in rows]
@@ -56,7 +49,7 @@ def files(draw, words):
     for _ in range(draw(st.integers(0, 4))):
         insert(draw(st.sampled_from(["", "#", "#c\tx", "#c\ta\t1.0", "#\ta\tb\t1", f"#order\t{order}"])))
     for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
-        row = draw(st.sampled_from(rows)) if rows else [*words[:1], *space.labels[:order]]
+        row = draw(st.sampled_from(rows)) if rows else [*words[:1], *SPACE.labels[:order]]
         fault = draw(st.sampled_from(["width", "label", "duplicate", "weight", "order"]))
         if fault == "width":
             row = draw(st.sampled_from([row[:-1], [*row, row[-1]]]))
@@ -72,7 +65,7 @@ def files(draw, words):
     if lines and draw(st.sampled_from([False] * 19 + [True])):
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
-    return space, given, data
+    return data
 
 
 def outcome(load, path, *args):
@@ -92,14 +85,13 @@ def assert_same_vectors(new, old):
 
 @SETTINGS
 @given(files(("w", "v", "u", "#w", "")))
-def test_load_vectors_equals_the_row_by_row_loader(made):
-    space, _, data = made
+def test_load_vectors_equals_the_row_by_row_loader(data):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "nouns.tsv")
         with open(path, "wb") as handle:
             handle.write(data)
-        new = outcome(load_vectors, path, space)
-        old = outcome(oracle_load_vectors, path, space)
+        new = outcome(load_vectors, path, SPACE)
+        old = outcome(oracle_load_vectors, path, SPACE)
     assert new[0] == old[0]
     if old[0] == "ok":
         assert_same_vectors(new[1], old[1])
@@ -109,14 +101,13 @@ def test_load_vectors_equals_the_row_by_row_loader(made):
 
 @SETTINGS
 @given(files(()))
-def test_load_tensor_equals_the_row_by_row_loader(made):
-    space, order, data = made
+def test_load_tensor_equals_the_row_by_row_loader(data):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "t.tsv")
         with open(path, "wb") as handle:
             handle.write(data)
-        new = outcome(load_tensor, path, space, order)
-        old = outcome(oracle_load_tensor, path, space, order)
+        new = outcome(load_tensor, path, SPACE)
+        old = outcome(oracle_load_tensor, path, SPACE)
     assert new[0] == old[0]
     if old[0] == "ok":
         assert new[1] == old[1] and new[1].order == old[1].order
@@ -144,13 +135,12 @@ def test_the_files_reach_every_outcome(kind):
 
     @settings(max_examples=600, deadline=None, database=None, derandomize=True)
     @given(files(words))
-    def collect(made):
-        space, order, data = made
+    def collect(data):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "f.tsv")
             with open(path, "wb") as handle:
                 handle.write(data)
-            result, value = outcome(load, path, space, *[order][: kind == "tensor"])
+            result, value = outcome(load, path, SPACE)
         if result == "ok":
             seen.add("ok" if (value.entries if kind == "tensor" else value) else "ok, empty")
         else:

@@ -69,12 +69,8 @@ def test_atom_formatting_and_parsing():
         parse_type("")
 
 
-def test_empty_type_is_concat_unit():
-    unit = PregroupType()
-    t = parse_type("n^r s")
-    assert unit.concat(t) == t
-    assert t.concat(unit) == t
-    assert str(unit) == "1"
+def test_empty_type_prints_as_unit():
+    assert str(PregroupType()) == "1"
 
 
 # --- reduction --------------------------------------------------------------

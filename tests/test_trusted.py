@@ -37,12 +37,10 @@ from gramsem.vectorspace import (
     add,
     kronecker,
     load_tensor,
-    load_vector,
     load_vectors,
     norm,
     pointwise_mul,
     save_tensor,
-    save_vector,
     save_vectors,
     scale,
 )
@@ -167,15 +165,15 @@ def test_files_round_trip(data, space, order):
     collection = {word: vector(data.draw, space) for word in ("x", "y")}
     with tempfile.TemporaryDirectory() as directory:
         paths = [os.path.join(directory, name) for name in ("v.tsv", "t.tsv", "c.tsv")]
-        save_vector(paths[0], u)
+        save_tensor(paths[0], SemTensor.from_vector(u))
         save_tensor(paths[1], t)
         save_vectors(paths[2], collection, space)
-        loaded = [load_vector(paths[0], space), load_tensor(paths[1], space),
-                  load_tensor(paths[1], space, order), load_vectors(paths[2], space)]
+        loaded = [load_tensor(paths[0], space).to_vector(), load_tensor(paths[1], space),
+                  load_vectors(paths[2], space)]
     # a zero vector has no rows, so a collection keeps only nonzero ones
     kept = {word: v for word, v in collection.items() if not v.is_zero()}
-    assert loaded == [u, t, t, kept]
-    for value in (*loaded[:3], *loaded[3].values()):
+    assert loaded == [u, t, kept]
+    for value in (*loaded[:2], *loaded[2].values()):
         assert_valid(value)
 
 

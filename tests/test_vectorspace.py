@@ -16,12 +16,10 @@ from gramsem.vectorspace import (
     inner,
     kronecker,
     load_tensor,
-    load_vector,
     load_vectors,
     norm,
     pointwise_mul,
     save_tensor,
-    save_vector,
     save_vectors,
     scale,
 )
@@ -47,6 +45,14 @@ def test_registry_bijection():
         BasisRegistry("empty-label", ("a", ""))
     with pytest.raises(KeyError):
         SPACE3.index("nope")
+
+
+def test_registry_refuses_a_label_starting_with_hash():
+    # a file row that starts with '#' is a comment, so such a label could not be read back
+    for label in ("#a", "#order", "#"):
+        with pytest.raises(ValueError, match="starts with '#'"):
+            BasisRegistry("h", ("a", label))
+    assert BasisRegistry("h", ("a#", "b")).labels == ("a#", "b")
 
 
 def test_structured_labels_checked():
@@ -268,12 +274,13 @@ def test_cosine_bounds_and_scale_invariance():
 
 
 def test_vector_file_round_trip(tmp_path):
+    # a vector goes to file as an order-1 tensor
     v = WeightedVector.from_labels(SPACE3, {"a": 1.25, "c": -79.24})
     path = tmp_path / "v.tsv"
-    save_vector(path, v)
-    assert load_vector(path, SPACE3) == v
+    save_tensor(path, SemTensor.from_vector(v))
+    assert load_tensor(path, SPACE3).to_vector() == v
     text = path.read_text(encoding="utf-8")
-    assert text.startswith("#space\tthree\tplain\n")
+    assert text.startswith("#space\tthree\tplain\n#order\t1\n")
 
 
 def test_tensor_file_round_trip(tmp_path):
@@ -300,25 +307,34 @@ def test_vectors_collection_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_save_vectors_refuses_a_word_starting_with_hash(tmp_path):
+    # its rows would read back as comments, and the word would be lost
+    path = tmp_path / "nouns.tsv"
+    vectors = {"dog": vec(SPACE3, 1.0), "#tag": vec(SPACE3, 2.0)}
+    with pytest.raises(ValueError, match="'#tag' starts with '#'"):
+        save_vectors(path, vectors, SPACE3)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_file_header_is_validated(tmp_path):
     v = WeightedVector.from_labels(SPACE3, {"a": 1.0})
     path = tmp_path / "v.tsv"
-    save_vector(path, v)
+    save_tensor(path, SemTensor.from_vector(v))
     with pytest.raises(ValueError):
-        load_vector(path, SPACE2)
+        load_tensor(path, SPACE2)
     path.write_text("no header\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        load_vector(path, SPACE3)
+        load_tensor(path, SPACE3)
 
 
 def test_unknown_label_and_duplicates_rejected(tmp_path):
     path = tmp_path / "v.tsv"
     path.write_text("#space\tthree\tplain\nzz\t1.0\n", encoding="utf-8")
     with pytest.raises(KeyError):
-        load_vector(path, SPACE3)
+        load_tensor(path, SPACE3)
     path.write_text("#space\tthree\tplain\na\t1.0\na\t2.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        load_vector(path, SPACE3)
+        load_tensor(path, SPACE3)
 
 
 def test_atomic_write_leaves_nothing_on_failure(tmp_path):
@@ -334,12 +350,10 @@ def test_atomic_write_leaves_nothing_on_failure(tmp_path):
 def test_load_tensor_checks_the_order_line(tmp_path):
     path = tmp_path / "t.tsv"
     save_tensor(path, SemTensor(SPACE2, 2, {(0, 1): 1.5}))
-    assert load_tensor(path, SPACE2, 2) == load_tensor(path, SPACE2)
-    for wrong in (1, 3):
-        with pytest.raises(ValueError, match=f"{path}:2: order 2 is not {wrong}"):
-            load_tensor(path, SPACE2, wrong)
-    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
-        load_tensor(path, SPACE2, 4)
+    assert load_tensor(path, SPACE2).order == 2
+    path.write_text("#space\ttwo\tplain\n#order\t2\n#order\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:3: order 3 is not 2"):
+        load_tensor(path, SPACE2)
     path.write_text("#space\ttwo\tplain\n#order\t5\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"{path}:2: order 5 is not 1-3"):
         load_tensor(path, SPACE2)
@@ -353,5 +367,6 @@ def test_load_tensor_rejects_order_none(tmp_path):
     path.write_text("#space\ttwo\tplain\n#order\tNone\na\tb\t1.5\n", encoding="utf-8")
     with pytest.raises(FileFormatError, match=f"{path}:2: order None is not 1-3"):
         load_tensor(path, SPACE2)
-    with pytest.raises(FileFormatError, match=f"{path}:2: order None is not 2"):
-        load_tensor(path, SPACE2, 2)
+    path.write_text("#space\ttwo\tplain\n#order\t2\n#order\tNone\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"{path}:3: order None is not 2"):
+        load_tensor(path, SPACE2)
