@@ -37,6 +37,7 @@ from .corpus import (
 )
 from .errors import (
     CompositionError,
+    DatasetError,
     DegenerateDataError,
     FileFormatError,
     GramsemError,

@@ -27,7 +27,7 @@ from .corpus import (
 )
 from .evaluation import HIGH, LOW, SentencePair, save_dataset
 from .pregroup import Lexicon, save_lexicon, standard_lexicon
-from .vectorspace import BasisRegistry, atomic_write
+from .vectorspace import BasisRegistry, _write_lines
 
 _BASES = ("battle", "cavalry", "fury", "invoice", "payment", "account", "busy")
 
@@ -90,15 +90,9 @@ class TwoSenseBenchmark:
             "lexicon": os.path.join(directory, "lexicon.tsv"),
             "dataset": os.path.join(directory, "dataset.tsv"),
         }
-        with atomic_write(paths["corpus"]) as handle:
-            for tokens in self.documents:
-                handle.write(" ".join(tokens) + "\n")
-        with atomic_write(paths["basis"]) as handle:
-            for label in self.space.labels:
-                handle.write(label + "\n")
-        with atomic_write(paths["triples"]) as handle:
-            for t in self.triples:
-                handle.write(f"{t.subject}\t{t.verb}\t{t.obj}\n")
+        _write_lines(paths["corpus"], map(" ".join, self.documents))
+        _write_lines(paths["basis"], self.space.labels)
+        _write_lines(paths["triples"], (f"{t.subject}\t{t.verb}\t{t.obj}" for t in self.triples))
         save_lexicon(paths["lexicon"], self.grammar)
         save_dataset(paths["dataset"], self.dataset)
         return paths

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import composition, corpus, evaluation, pregroup, vectorspace
-from .errors import DegenerateDataError, FileFormatError, GramsemError
+from .errors import DatasetError, DegenerateDataError, FileFormatError, GramsemError
 
 _ALL_MODELS = list(evaluation.MODELS)
 
@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
             print(f"gramsem: {model}: {exc}", file=sys.stderr)
             degenerate.append(model)
             continue
-        except ValueError as exc:  # a fault of the dataset as a whole
+        except DatasetError as exc:
             raise FileFormatError(f"{args.dataset}: {exc}") from None
         scores.update(report.scores)
     _summary(models=len(models), scored=len(scores), degenerate=",".join(degenerate))
@@ -155,9 +155,7 @@ def cmd_eval(args) -> int:
     report = evaluation.ExperimentReport(scores)
     print(report.table())
     if args.out:
-        with vectorspace.atomic_write(args.out) as handle:
-            for line in report.tsv_lines():
-                handle.write(line + "\n")
+        vectorspace._write_lines(args.out, report.tsv_lines())
     return 0
 
 

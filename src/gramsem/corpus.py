@@ -26,6 +26,7 @@ from .vectorspace import (
     WeightedVector,
     _is_rel_word,
     _kronecker_sum,
+    _read_records,
     open_text,
 )
 
@@ -58,9 +59,9 @@ class CountAccumulator:
     doc_frequency: dict[int, int] = field(default_factory=dict)
     doc_count: int = 0
 
-    def bump(self, target: str, basis_index: int, by: int = 1) -> None:
+    def bump(self, target: str, basis_index: int) -> None:
         row = self.counts.setdefault(target, {})
-        row[basis_index] = row.get(basis_index, 0) + by
+        row[basis_index] = row.get(basis_index, 0) + 1
 
     def count(self, target: str, label: str) -> int:
         return self.counts.get(target, {}).get(self.space.index(label), 0)
@@ -228,37 +229,19 @@ def read_corpus(path) -> list[list[str]]:
 
 
 def read_triples(path) -> list[TripleRecord]:
-    records = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if not 2 <= len(parts) <= 4:
-                raise FileFormatError(f"{path}:{lineno}: expected 2-4 tab-separated fields")
-            parts += [""] * (4 - len(parts))
-            subject, verb, obj, iobj = parts
-            try:
-                record = TripleRecord(subject, verb, obj or None, iobj or None)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-            records.append(record)
-    return records
+    return _read_records(
+        path, 2, 4, "expected 2-4 tab-separated fields",
+        lambda subject, verb, obj, iobj: TripleRecord(subject, verb, obj or None, iobj or None),
+    )
 
 
 def read_adjective_pairs(path) -> list[tuple[str, str]]:
-    pairs = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FileFormatError(f"{path}:{lineno}: expected 'adjective<TAB>argument'")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+    def pair(adjective: str, argument: str) -> tuple[str, str]:
+        if adjective and argument:
+            return adjective, argument
+        raise ValueError("expected 'adjective<TAB>argument'")
+
+    return _read_records(path, 2, 2, "expected 'adjective<TAB>argument'", pair)
 
 
 def read_basis(path, name: str | None = None, kind: str = PLAIN) -> BasisRegistry:

@@ -25,6 +25,10 @@ class DegenerateDataError(GramsemError):
     """A statistic is undefined on the given data (e.g. constant score lists)."""
 
 
+class DatasetError(GramsemError, ValueError):
+    """A dataset as a whole cannot be scored (no pairs, no rating, one tag class ...)."""
+
+
 class FileFormatError(GramsemError, ValueError):
     """A malformed input file; the message starts with ``path:line``."""
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compose_sentence
-from .errors import CompositionError, DegenerateDataError, FileFormatError
+from .errors import CompositionError, DatasetError, DegenerateDataError
 from .pregroup import SENTENCE, Lexicon
-from .vectorspace import WeightedVector, add, cosine, open_text, pointwise_mul, scale
+from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
+from .vectorspace import _read_records, _write_lines
 
 MODELS = ("categorical", "add", "multiply", "weighted_add", "verb_baseline")
 HIGH = "HIGH"
@@ -258,15 +259,9 @@ def _group_rows(dataset: Sequence[SentencePair]) -> list[tuple[SentencePair, lis
     """Collapse annotator rows: one representative pair + all its ratings."""
     grouped: dict[str, tuple[SentencePair, list[float]]] = {}
     for row in dataset:
-        if row.pair_id not in grouped:
-            grouped[row.pair_id] = (row, [])
-        head, ratings = grouped[row.pair_id]
-        if (row.sentence_1, row.sentence_2, row.tag) != (
-            head.sentence_1,
-            head.sentence_2,
-            head.tag,
-        ):
-            raise ValueError(f"conflicting rows for pair id {row.pair_id!r}")
+        head, ratings = grouped.setdefault(row.pair_id, (row, []))
+        if (row.sentence_1, row.sentence_2, row.tag) != (head.sentence_1, head.sentence_2, head.tag):
+            raise DatasetError(f"conflicting rows for pair id {row.pair_id!r}")
         if row.gold_rating is not None:
             ratings.append(row.gold_rating)
     return list(grouped.values())
@@ -286,14 +281,21 @@ def run_experiment(
     Rows sharing an id are one pair rated by several annotators; rho is
     taken against each pair's mean rating.  The pairs share one ``memo``
     (see ``model_similarity``), so each distinct sentence fold and verb
-    pair is scored once.
+    pair is scored once.  Faults of the dataset as a whole raise
+    ``DatasetError`` before any model is scored.
     """
     if not dataset:
-        raise ValueError("empty dataset")
+        raise DatasetError("empty dataset")
     grouped = _group_rows(dataset)
-    if any(not ratings for _, ratings in grouped):
-        raise ValueError("every pair needs at least one gold rating")
     pairs = [pair for pair, _ in grouped]
+    if any(not ratings for _, ratings in grouped):
+        raise DatasetError("every pair needs at least one gold rating")
+    if any(pair.tag is None for pair in pairs):
+        raise DatasetError("every pair needs a HIGH/LOW tag")
+    if len(pairs) < 2:
+        raise DatasetError("need at least two observations")
+    if {pair.tag for pair in pairs} != {HIGH, LOW}:
+        raise DatasetError("need at least one pair in each tag class")
     means = [math.fsum(ratings) / len(ratings) for _, ratings in grouped]
     memo: dict = {}
     report: dict[str, ModelScore] = {}
@@ -309,46 +311,15 @@ def run_experiment(
 
 def read_dataset(path) -> list[SentencePair]:
     """TSV rows ``id  sentence1  sentence2  rating  tag`` (ratings optional)."""
-    rows = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if not 3 <= len(parts) <= 5:
-                raise FileFormatError(f"{path}:{lineno}: expected 3-5 tab-separated fields")
-            parts += [""] * (5 - len(parts))
-            pair_id, s1, s2, rating, tag = parts
-            try:
-                row = SentencePair(
-                    pair_id,
-                    tuple(s1.split()),
-                    tuple(s2.split()),
-                    float(rating) if rating else None,
-                    tag or None,
-                )
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row)
-    return rows
+    expected = "expected 3-5 tab-separated fields"
+    return _read_records(path, 3, 5, expected, lambda pair_id, s1, s2, rating, tag: SentencePair(
+        pair_id, tuple(s1.split()), tuple(s2.split()), float(rating) if rating else None, tag or None
+    ))
 
 
 def save_dataset(path, dataset: Sequence[SentencePair]) -> None:
-    from .vectorspace import atomic_write
-
-    with atomic_write(path) as handle:
-        for row in dataset:
-            rating = "" if row.gold_rating is None else repr(row.gold_rating)
-            handle.write(
-                "\t".join(
-                    (
-                        row.pair_id,
-                        " ".join(row.sentence_1),
-                        " ".join(row.sentence_2),
-                        rating,
-                        row.tag or "",
-                    )
-                )
-                + "\n"
-            )
+    _write_lines(path, (
+        f"{p.pair_id}\t{' '.join(p.sentence_1)}\t{' '.join(p.sentence_2)}"
+        f"\t{'' if p.gold_rating is None else repr(p.gold_rating)}\t{p.tag or ''}"
+        for p in dataset
+    ))

@@ -192,12 +192,9 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_lexicon(path, lexicon: Lexicon) -> None:
-    from .vectorspace import atomic_write
+    from .vectorspace import _write_lines
 
-    with atomic_write(path) as handle:
-        for word in sorted(lexicon.entries):
-            for typ in lexicon.entries[word]:
-                handle.write(f"{word}\t{typ}\n")
+    _write_lines(path, (f"{w}\t{t}" for w in sorted(lexicon.entries) for t in lexicon.entries[w]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,10 +142,6 @@ class WeightedVector:
         return v
 
     @classmethod
-    def from_labels(cls, space: BasisRegistry, weights: Mapping[str, float]) -> "WeightedVector":
-        return cls(space, {space.index(label): w for label, w in weights.items()})
-
-    @classmethod
     def basis_vector(cls, space: BasisRegistry, label: str) -> "WeightedVector":
         return cls(space, {space.index(label): 1.0})
 
@@ -199,17 +195,6 @@ class SemTensor:
         t = object.__new__(cls)
         t.__dict__.update(space=space, order=order, entries=entries)
         return t
-
-    @classmethod
-    def from_labels(
-        cls, space: BasisRegistry, order: int, weights: Mapping[tuple[str, ...] | str, float]
-    ) -> "SemTensor":
-        entries: dict[tuple[int, ...], float] = {}
-        for key, w in weights.items():
-            if isinstance(key, str):
-                key = (key,)
-            entries[tuple(space.index(label) for label in key)] = w
-        return cls(space, order, entries)
 
     @classmethod
     def from_vector(cls, v: WeightedVector) -> "SemTensor":
@@ -315,13 +300,23 @@ def cosine(v: Sparse, w: Sparse) -> float:
     flattened coordinate form.  If either operand has zero length the
     similarity is 0 by convention: a vanished sentence vector carries no
     evidence, and comparisons against it must not abort an evaluation run.
+    A norm outside [2**-450, 2**450] may hide a squared weight rounded to
+    inf or 0, so each operand is then scaled by the power of two that brings
+    its largest weight into [0.5, 1): exactly, so the score does not change.
     """
     _check_same_space(v, w)
-    nv, nw = norm(v), norm(w)
-    if nv == 0.0 or nw == 0.0:
+    if not v.entries or not w.entries:
         return 0.0
     if v.entries == w.entries:
         return 1.0
+    nv, nw = norm(v), norm(w)
+    if not (2.0**-450 <= nv <= 2.0**450 and 2.0**-450 <= nw <= 2.0**450):
+        scaled = []
+        for x in (v, w):
+            shift = math.frexp(max(map(abs, x.entries.values())))[1]
+            scaled.append(_like(x, {k: math.ldexp(a, -shift) for k, a in x.entries.items()}))
+        v, w = scaled
+        nv, nw = norm(v), norm(w)
     value = inner(v, w) / (nv * nw)
     return max(-1.0, min(1.0, value))
 
@@ -403,6 +398,35 @@ def open_text(path: str | os.PathLike, error: type[GramsemError] = FileFormatErr
             yield handle
         except UnicodeDecodeError:
             raise _undecodable(path, error) from None
+
+
+def _read_records(path, least: int, most: int, expected: str, row: Callable) -> list:
+    """``row(*fields)`` of each line that is not blank or a '#' comment, split at
+    tabs and padded with '' to ``most`` fields.  Fewer than ``least`` or more
+    than ``most`` fields (message ``expected``), or a ``ValueError`` from
+    ``row``, raise ``FileFormatError`` naming ``path:line``."""
+    records = []
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line or line[0] == "#":
+                continue
+            fields = line.split("\t")
+            if not least <= len(fields) <= most:
+                raise FileFormatError(f"{path}:{lineno}: {expected}")
+            fields += [""] * (most - len(fields))
+            try:
+                records.append(row(*fields))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` through ``atomic_write``."""
+    with atomic_write(path) as handle:
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def _undecodable(path: str | os.PathLike, error: type[GramsemError]) -> GramsemError:

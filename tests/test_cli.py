@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import math
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import SAMPLE_LABELS, SAMPLE_NOUNS, SAMPLE_SPACE, sample_vector, show_oracle_entry
 from gramsem.benchmark import two_sense_benchmark
@@ -493,6 +498,17 @@ DATASET_FAULTS = {
     "empty": ("# no pairs\n", "empty dataset"),
     "unrated": ("p1\tdogs chase cats\tcats chase dogs\n",
                 "every pair needs at least one gold rating"),
+    "conflicting": ("p1\tdogs chase cats\tcats chase dogs\t6\tHIGH\n"
+                    "p1\tdogs chase cats\tbankers chase stock\t2\tLOW\n",
+                    "conflicting rows for pair id 'p1'"),
+    "untagged": ("p1\tdogs chase cats\tcats chase dogs\t6\tHIGH\n"
+                 "p2\tdogs chase cats\tbankers chase stock\t2\n",
+                 "every pair needs a HIGH/LOW tag"),
+    "one pair": ("p1\tdogs chase cats\tcats chase dogs\t6\tHIGH\n",
+                 "need at least two observations"),
+    "one tag class": ("p1\tdogs chase cats\tcats chase dogs\t6\tHIGH\n"
+                      "p2\tdogs chase cats\tbankers chase stock\t2\tHIGH\n",
+                      "need at least one pair in each tag class"),
 }
 
 
@@ -510,6 +526,63 @@ def test_dataset_fault_names_the_dataset(toy_world, capsys, case):
     assert code == 1 and out == ""
     assert err == f"gramsem: {dataset}: {message}\n"
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_FAULTS))
+def test_dataset_fault_is_found_before_any_model_scores(toy_world, capsys, case):
+    # verb_baseline's correlation is undefined on the toy pairs: the dataset's
+    # own fault must still be the one line reported
+    text, message = DATASET_FAULTS[case]
+    dataset = toy_world / "dataset.tsv"
+    dataset.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "eval", "--dataset", str(dataset), "--lexicon", str(toy_world / "lexicon.tsv"),
+        "--basis", str(toy_world / "basis.txt"), "--semantics-dir", str(toy_world / "sem"),
+        "--model", "verb_baseline",
+    )
+    assert (code, out, err) == (1, "", f"gramsem: {dataset}: {message}\n")
+
+
+@pytest.fixture
+def huge_world(tmp_path):
+    """Weights whose squares overflow: dog and cat point in opposite
+    directions, and chase times two nouns overflows a composed weight."""
+    sem = tmp_path / "sem"
+    (sem / "verbs").mkdir(parents=True)
+    (tmp_path / "basis.txt").write_text("a\nb\n", encoding="utf-8")
+    (sem / "nouns.tsv").write_text(
+        "#space\tN\tplain\ncat\ta\t-1e+200\ndog\ta\t1e+200\nfox\ta\t1.0\nfox\tb\t2.0\n",
+        encoding="utf-8",
+    )
+    (sem / "verbs" / "chase.tsv").write_text(
+        "#space\tN\tplain\n#order\t2\na\ta\t1e+200\n", encoding="utf-8"
+    )
+    (tmp_path / "lexicon.tsv").write_text(
+        "cat\tn\ndog\tn\nfox\tn\nchase\tn^r s n^l\n", encoding="utf-8"
+    )
+    (tmp_path / "dataset.tsv").write_text(
+        "p1\tdog chase dog\tcat chase dog\t6\tHIGH\n"
+        "p2\tdog chase fox\tfox chase dog\t2\tLOW\n",
+        encoding="utf-8",
+    )
+    return tmp_path, ("--lexicon", str(tmp_path / "lexicon.tsv"),
+                      "--basis", str(tmp_path / "basis.txt"), "--semantics-dir", str(sem))
+
+
+def test_sim_rescales_weights_whose_squares_overflow(huge_world, capsys):
+    _, common = huge_world
+    assert run(capsys, "sim", "dog", "cat", *common)[:2] == (0, "-1.000000\n")
+    assert run(capsys, "sim", "dog", "dog", *common)[:2] == (0, "1.000000\n")
+
+
+def test_eval_overflow_is_not_blamed_on_the_dataset(huge_world, capsys):
+    world, common = huge_world
+    dataset = world / "dataset.tsv"
+    code, out, err = run(capsys, "eval", "--dataset", str(dataset), "--model", "categorical",
+                         "--out", str(world / "report.tsv"), *common)
+    assert code == 1 and out == ""
+    assert err == "gramsem: non-finite weight inf at (0, 0)\n"
+    assert str(dataset) not in err and not (world / "report.tsv").exists()
 
 
 def test_missing_output_directory_is_named(tiny_world, capsys):
@@ -672,6 +745,72 @@ def test_malformed_input_row_names_path_and_line(benchmark_files, tmp_path, caps
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"gramsem: {path}:{lineno}: ")
+
+
+RECORD_WORDS = st.sampled_from(["knight", "enemy", "x", "charge"])
+
+
+def malformed_line(kind: str, fields: list[str]):
+    """A strategy for a malformed version of a valid record line of ``kind``,
+    split into ``fields``; a line with a byte that is not UTF-8 is bytes."""
+    widths = {"triples": (2, 4), "adjectives": (2, 2), "dataset": (3, 5)}[kind]
+    count = st.one_of(st.integers(1, widths[0] - 1), st.integers(widths[1] + 1, widths[1] + 3))
+    faults = [count.flatmap(lambda n: st.lists(RECORD_WORDS, min_size=n, max_size=n))]
+    if kind == "triples":
+        faults += [st.just(["", *fields[1:]]), st.just([*fields[:2], "", fields[2]])]
+    elif kind == "adjectives":
+        faults += [st.just(["", fields[1]]), st.just([fields[0], ""])]
+    else:
+        out_of_range = st.floats().filter(lambda r: not 1.0 <= r <= 7.0).map(repr)
+        ratings = st.one_of(out_of_range, st.sampled_from(["x", "high", "1,5", "7..0"]))
+        tags = st.text("ABCDEFGHILMNOW", min_size=1, max_size=5).filter(
+            lambda tag: tag not in ("HIGH", "LOW")
+        )
+        faults += [ratings.map(lambda r: [*fields[:3], r, fields[4]]),
+                   tags.map(lambda tag: [*fields[:4], tag])]
+    text = st.one_of(*faults).map("\t".join)
+    line = "\t".join(fields).encode("utf-8")
+    undecodable = st.tuples(st.integers(0, len(line)), st.sampled_from([b"\xff", b"\x80", b"\xc3("]))
+    return st.one_of(text, undecodable.map(lambda cut: line[:cut[0]] + cut[1] + line[cut[0]:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_record_line_names_path_and_line(benchmark_files, data):
+    # one shared reader serves triples, adjective records and datasets
+    _, paths = benchmark_files
+    kind = data.draw(st.sampled_from(["triples", "adjectives", "dataset"]))
+    if kind == "adjectives":
+        text = "".join(f"fierce\t{noun}\n" for noun in ("knight", "army", "mob", "enemy"))
+    else:
+        with open(paths[kind], encoding="utf-8") as handle:
+            text = handle.read()
+    lines = text.splitlines()
+    lineno = data.draw(st.integers(1, len(lines)))
+    bad = data.draw(malformed_line(kind, lines[lineno - 1].split("\t")))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, f"{kind}.tsv")
+        out_path = os.path.join(directory, "out.tsv")
+        encoded = [line.encode("utf-8") for line in lines]
+        encoded[lineno - 1] = bad if isinstance(bad, bytes) else bad.encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(b"".join(line + b"\n" for line in encoded))
+        common = ("--basis", paths["basis"], "--semantics-dir", paths["semantics"],
+                  "--out", out_path)
+        if kind == "dataset":
+            argv = ["eval", "--dataset", path, "--lexicon", paths["lexicon"], *common]
+        elif kind == "triples":
+            argv = ["build-verb", "charge", "--triples", path, *common]
+        else:
+            argv = ["build-adj", "fierce", "--triples", path, *common]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 1 and out.getvalue() == ""
+        message = err.getvalue()
+        assert message.count("\n") == 1 and "Traceback" not in message
+        assert message.startswith(f"gramsem: {path}:{lineno}: ")
+        assert os.listdir(directory) == [f"{kind}.tsv"]
 
 
 def test_duplicate_basis_label_names_both_lines(benchmark_files, tmp_path, capsys):

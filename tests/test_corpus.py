@@ -165,8 +165,8 @@ def test_property_counting_needs_structured_basis():
 def _acc_with(count, doc_count, df):
     acc = CountAccumulator(PLAIN_SPACE)
     acc.doc_count = doc_count
-    if count:
-        acc.bump("t", 0, count)
+    for _ in range(count):
+        acc.bump("t", 0)
     acc.doc_frequency[0] = df
     return acc
 
@@ -187,7 +187,8 @@ def test_tfidf_examples():
 def test_tfidf_unseen_basis_weighs_zero():
     acc = CountAccumulator(PLAIN_SPACE)
     acc.doc_count = 3
-    acc.bump("t", 1, 7)  # no doc_frequency entry for index 1
+    for _ in range(7):
+        acc.bump("t", 1)  # no doc_frequency entry for index 1
     assert tfidf(acc)["t"].is_zero()
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gramsem.errors import FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
@@ -105,11 +107,11 @@ def test_tensor_construction_checks():
 
 
 def test_from_labels_and_round_trips():
-    v = WeightedVector.from_labels(SPACE3, {"a": 1.0, "c": 3.0})
+    v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.0, SPACE3.index("c"): 3.0})
     assert v.labelled() == {"a": 1.0, "c": 3.0}
-    t = SemTensor.from_labels(SPACE2, 2, {("a", "b"): 4.0})
+    t = SemTensor(SPACE2, 2, {(SPACE2.index("a"), SPACE2.index("b")): 4.0})
     assert t.labelled() == {("a", "b"): 4.0}
-    one = SemTensor.from_labels(SPACE2, 1, {"a": 2.0})
+    one = SemTensor(SPACE2, 1, {(SPACE2.index("a"),): 2.0})
     assert one.to_vector().labelled() == {"a": 2.0}
     e = WeightedVector.basis_vector(SPACE3, "b")
     assert e.to_dense().tolist() == [0.0, 1.0, 0.0]
@@ -151,6 +153,34 @@ def test_cosine_examples():
     assert cosine(e1, e2) == 0.0
     assert cosine(v, scale(v, 3.0)) == pytest.approx(1.0, abs=1e-15)
     assert cosine(v, WeightedVector(SPACE2, {})) == 0.0
+
+
+def test_cosine_rescales_norms_whose_squares_overflow_or_underflow():
+    assert cosine(vec(SPACE2, 1e200), vec(SPACE2, -1e200)) == -1.0
+    tiny = vec(SPACE2, 1e-200, 3e-200)
+    assert cosine(tiny, tiny) == 1.0
+    assert cosine(tiny, vec(SPACE2, 3e-200, 1e-200)) == pytest.approx(0.6, abs=1e-15)
+    u = vec(SPACE2, 1.0, 2.0)
+    assert cosine(scale(u, 2.0**600), scale(u, -1.0)) == cosine(u, scale(u, -1.0))
+    assert cosine(scale(u, 2.0**600), scale(u, -1.0)) == -0.9999999999999998
+    assert cosine(vec(SPACE2, 5e-324), WeightedVector(SPACE2, {})) == 0.0
+
+
+# Weights in +-[1e-3, 1e3]: scaled by 2**e for |e| <= 900 they stay normal.
+MODERATE = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+MODERATE_VECTORS = st.dictionaries(st.integers(0, 2), MODERATE, max_size=3).map(
+    lambda entries: WeightedVector(SPACE3, entries)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MODERATE_VECTORS, MODERATE_VECTORS, st.integers(-900, 900))
+def test_cosine_is_unchanged_by_a_power_of_two(v, w, e):
+    scaled = scale(v, 2.0**e)
+    # identical operands score 1.0 by convention, which the computed value may
+    # miss by an ulp: only pairs that go through the computation are compared
+    assume(v.entries != w.entries and scaled.entries != w.entries)
+    assert cosine(scaled, w) == cosine(v, w)
 
 
 def test_kronecker_examples():
@@ -275,7 +305,7 @@ def test_cosine_bounds_and_scale_invariance():
 
 def test_vector_file_round_trip(tmp_path):
     # a vector goes to file as an order-1 tensor
-    v = WeightedVector.from_labels(SPACE3, {"a": 1.25, "c": -79.24})
+    v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.25, SPACE3.index("c"): -79.24})
     path = tmp_path / "v.tsv"
     save_tensor(path, SemTensor.from_vector(v))
     assert load_tensor(path, SPACE3).to_vector() == v
@@ -284,7 +314,8 @@ def test_vector_file_round_trip(tmp_path):
 
 
 def test_tensor_file_round_trip(tmp_path):
-    t = SemTensor.from_labels(SPACE2, 2, {("a", "b"): 2.5, ("b", "b"): 1e-7})
+    a, b = SPACE2.index("a"), SPACE2.index("b")
+    t = SemTensor(SPACE2, 2, {(a, b): 2.5, (b, b): 1e-7})
     path = tmp_path / "t.tsv"
     save_tensor(path, t)
     assert load_tensor(path, SPACE2) == t
@@ -295,8 +326,8 @@ def test_tensor_file_round_trip(tmp_path):
 
 def test_vectors_collection_round_trip(tmp_path):
     vectors = {
-        "dog": WeightedVector.from_labels(SPACE3, {"a": 3.0}),
-        "cat": WeightedVector.from_labels(SPACE3, {"b": 1.5, "c": 2.0}),
+        "dog": WeightedVector(SPACE3, {SPACE3.index("a"): 3.0}),
+        "cat": WeightedVector(SPACE3, {SPACE3.index("b"): 1.5, SPACE3.index("c"): 2.0}),
     }
     path = tmp_path / "nouns.tsv"
     save_vectors(path, vectors, SPACE3)
@@ -317,7 +348,7 @@ def test_save_vectors_refuses_a_word_starting_with_hash(tmp_path):
 
 
 def test_file_header_is_validated(tmp_path):
-    v = WeightedVector.from_labels(SPACE3, {"a": 1.0})
+    v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.0})
     path = tmp_path / "v.tsv"
     save_tensor(path, SemTensor.from_vector(v))
     with pytest.raises(ValueError):
