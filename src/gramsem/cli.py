@@ -53,7 +53,9 @@ def cmd_build_nouns(args) -> int:
     if not documents:
         raise GramsemError(f"corpus file {args.corpus} has no documents")
     # A word starting with '#' would read back as a comment row of nouns.tsv.
-    targets = sorted(word for word in set().union(*documents) if word[0] != "#")
+    targets = set().union(*documents)
+    hashed = {word for word in targets if word[0] == "#"}
+    targets = sorted(targets - hashed)  # the set of every token is freed here
     acc = corpus.count_cooccurrence(documents, targets, space, window=args.window)
     vectors = corpus.tfidf(acc) if args.weighting == "tfidf" else corpus.raw_vectors(acc)
     out = args.out or "nouns.tsv"
@@ -61,7 +63,8 @@ def cmd_build_nouns(args) -> int:
     # A target with no nonzero weight writes no row: later commands treat it
     # as out of vocabulary, so say how many there were.
     zero = len(targets) - sum(1 for v in vectors.values() if not v.is_zero())
-    _summary(documents=len(documents), targets=len(targets), zero_vectors=zero, written=out)
+    _summary(documents=len(documents), targets=len(targets), zero_vectors=zero, written=out,
+             hash_words=len(hashed))
     return 0
 
 

@@ -27,6 +27,7 @@ from .vectorspace import (
     SemTensor,
     WeightedVector,
     _kept,
+    _padded,
     load_tensor,
     load_vectors,
     pointwise_mul,
@@ -173,14 +174,6 @@ def _check_composable(verb: SemTensor, order: int, *vectors: WeightedVector) -> 
             )
 
 
-def _pad(m: SentenceMeaning, order: int) -> SentenceMeaning:
-    """Copy ``m`` into the order-``order`` space, each added axis spanning the basis."""
-    axes = list(product(range(len(m.value.space)), repeat=order - m.value.order))
-    entries = {key + rest: w for key, w in sorted(m.value.entries.items()) for rest in axes}
-    padded = SemTensor._trusted(m.value.space, order, entries)
-    return SentenceMeaning(padded, _SPACE_BY_ORDER[order])
-
-
 def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
     """Pad an N meaning into the pair space: entry (i, j) = m_i for every j.
 
@@ -190,14 +183,14 @@ def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
     """
     if m.sentence_space is not SentenceSpace.N:
         raise CompositionError("only N meanings embed into the pair space")
-    return _pad(m, 2)
+    return SentenceMeaning(_padded(m.value, 2), SentenceSpace.N2)
 
 
 def embed_to_ditransitive(m: SentenceMeaning) -> SentenceMeaning:
     """Pad an N or pair-space meaning into the triple space the same way."""
     if m.sentence_space not in (SentenceSpace.N, SentenceSpace.N2):
         raise CompositionError("only N and N*N meanings embed into the triple space")
-    return _pad(m, 3)
+    return SentenceMeaning(_padded(m.value, 3), SentenceSpace.N3)
 
 
 def align_orders(a: SentenceMeaning, b: SentenceMeaning) -> tuple[SentenceMeaning, SentenceMeaning]:

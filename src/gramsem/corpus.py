@@ -25,6 +25,7 @@ from .vectorspace import (
     SemTensor,
     WeightedVector,
     _is_rel_word,
+    _kept,
     _kronecker_sum,
     _read_records,
     open_text,
@@ -154,7 +155,7 @@ def count_properties(
 def raw_vectors(acc: CountAccumulator) -> dict[str, WeightedVector]:
     """Raw counts as vector weights."""
     return {
-        target: WeightedVector(acc.space, {i: float(c) for i, c in row.items()})
+        target: WeightedVector._trusted(acc.space, _kept({i: float(c) for i, c in row.items()}))
         for target, row in acc.counts.items()
     }
 
@@ -175,7 +176,7 @@ def tfidf(acc: CountAccumulator) -> dict[str, WeightedVector]:
     out: dict[str, WeightedVector] = {}
     for target, row in acc.counts.items():
         weights = {i: c * idf.get(i, 0.0) for i, c in row.items()}
-        out[target] = WeightedVector(acc.space, weights)
+        out[target] = WeightedVector._trusted(acc.space, _kept(weights))
     return out
 
 

@@ -170,7 +170,9 @@ def model_similarity(
     Every model reads the sentences' grammar through one slot plan: a
     sentence whose types reduce to neither a sentence nor a noun phrase
     raises ``UngrammaticalError``, and one whose links are not a verb with
-    its noun phrases, or one noun phrase, raises ``CompositionError``.
+    its noun phrases, or one noun phrase, raises ``CompositionError``.  A
+    computed weight that is not finite raises ``ValueError`` whose message
+    starts with the model and both sentences.
 
     ``memo`` is a dict that calls for one ``lex`` and ``grammar`` share, as
     the pairs of one ``run_experiment`` do: it keeps each sentence's verb,
@@ -186,18 +188,19 @@ def model_similarity(
     if owner[0] is not lex or owner[1] is not grammar:
         raise ValueError("a memo serves one lexical semantics and one grammar")
     s1, s2 = pair.sentence_1, pair.sentence_2
-    if model == "categorical":
-        m1 = compose_sentence(s1, lex, grammar)
-        m2 = compose_sentence(s2, lex, grammar)
-        m1, m2 = align_orders(m1, m2)
-        return cosine(m1.value, m2.value)
-    if model == "verb_baseline":
-        v1 = _the_verb(s1, grammar, memo)
-        v2 = _the_verb(s2, grammar, memo)
-        return _verb_cosine(v1, v2, lex, memo)
-    f1 = _folded(s1, lex, grammar, model, alpha, beta, memo)
-    f2 = _folded(s2, lex, grammar, model, alpha, beta, memo)
-    return cosine(f1, f2)
+    try:
+        if model == "categorical":
+            m1, m2 = align_orders(*(compose_sentence(s, lex, grammar) for s in (s1, s2)))
+            return cosine(m1.value, m2.value)
+        if model == "verb_baseline":
+            v1 = _the_verb(s1, grammar, memo)
+            v2 = _the_verb(s2, grammar, memo)
+            return _verb_cosine(v1, v2, lex, memo)
+        f1 = _folded(s1, lex, grammar, model, alpha, beta, memo)
+        f2 = _folded(s2, lex, grammar, model, alpha, beta, memo)
+        return cosine(f1, f2)
+    except ValueError as exc:  # a computed weight that is not finite
+        raise ValueError(f"{model}: {' '.join(s1)!r} / {' '.join(s2)!r}: {exc}") from exc
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:

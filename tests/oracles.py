@@ -133,6 +133,20 @@ def oracle_contract(verb, *args):
     return SemTensor(verb.space, len(args), entries)
 
 
+# --- padding a meaning into a larger space, by copying ------------------------------
+
+
+def oracle_pad(t, order):
+    """``t`` copied into the order-``order`` space by one comprehension, each
+    entry's key followed by every tuple of the added axes, through the
+    validating constructor; and its norm, the squares summed in sorted key
+    order."""
+    axes = list(itertools.product(range(len(t.space)), repeat=order - t.order))
+    entries = {key + rest: w for key, w in sorted(t.entries.items()) for rest in axes}
+    padded = SemTensor(t.space, order, entries)
+    return padded, math.sqrt(sum(w * w for _, w in sorted(padded.entries.items())))
+
+
 # --- window counting by its definition ------------------------------------------
 
 

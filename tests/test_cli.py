@@ -581,8 +581,19 @@ def test_eval_overflow_is_not_blamed_on_the_dataset(huge_world, capsys):
     code, out, err = run(capsys, "eval", "--dataset", str(dataset), "--model", "categorical",
                          "--out", str(world / "report.tsv"), *common)
     assert code == 1 and out == ""
-    assert err == "gramsem: non-finite weight inf at (0, 0)\n"
+    assert err == (
+        "gramsem: categorical: 'dog chase dog' / 'cat chase dog': non-finite weight inf at (0, 0)\n"
+    )
     assert str(dataset) not in err and not (world / "report.tsv").exists()
+
+
+def test_sim_overflow_names_the_model_and_the_sentences(huge_world, capsys):
+    _, common = huge_world
+    code, out, err = run(capsys, "sim", "dog chase fox", "dog chase dog", *common)
+    assert code == 1 and out == ""
+    assert err == (
+        "gramsem: categorical: 'dog chase fox' / 'dog chase dog': non-finite weight inf at (0, 0)\n"
+    )
 
 
 def test_missing_output_directory_is_named(tiny_world, capsys):
@@ -680,7 +691,7 @@ def test_build_nouns_counts_zero_vectors(tmp_path, capsys):
     assert code == 0
     fields = summary_fields(err)
     assert fields["targets"] == "5" and fields["zero_vectors"] == "3"
-    assert list(fields) == ["documents", "targets", "zero_vectors", "written"]
+    assert list(fields) == ["documents", "targets", "zero_vectors", "written", "hash_words"]
     space = read_basis(tmp_path / "basis.txt", name="N")
     assert sorted(load_vectors(out_path, space)) == ["bird", "common"]
     # a target that never sees a basis word has no counts at all: it counts too
@@ -704,6 +715,7 @@ def test_build_nouns_leaves_out_words_starting_with_hash(tmp_path, capsys):
                        "--weighting", "raw")
     assert code == 0
     assert summary_fields(err)["targets"] == "2"
+    assert summary_fields(err)["hash_words"] == "1"
     rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
     assert rows and not [row for row in rows if row.startswith("#")]
     assert sorted(load_vectors(out_path, read_basis(tmp_path / "basis.txt", name="N"))) == [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     CHASE_MATRIX,
@@ -15,6 +17,7 @@ from fixtures import (
     toy_fluffy,
     toy_vector,
 )
+from oracles import oracle_pad
 from gramsem.composition import (
     TRUTH_SPACE,
     LexicalSemantics,
@@ -40,6 +43,7 @@ from gramsem.vectorspace import (
     WeightedVector,
     add,
     cosine,
+    norm,
     scale,
 )
 
@@ -192,6 +196,46 @@ def test_embeddings_preserve_cosine():
         assert cosine(
             embed_to_ditransitive(p1).value, embed_to_ditransitive(p2).value
         ) == pytest.approx(cosine(p1.value, p2.value), abs=1e-12)
+
+
+# Weights in +-[1e-3, 1e3], some scaled by 1e200 or 1e-200 so that a squared
+# weight overflows or underflows and ``cosine`` rescales its operands.
+PAD_WEIGHTS = st.tuples(
+    st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+    st.sampled_from([1.0] * 8 + [1e200, 1e-200]),
+).map(lambda pair: pair[0] * pair[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([(1, 2), (1, 3), (2, 3)]), st.integers(1, 40))
+def test_padding_equals_the_naive_copy(data, orders, d):
+    low, high = orders
+    space = BasisRegistry(f"d{d}", tuple(f"b{i}" for i in range(d)))
+    index = st.integers(0, d - 1)
+    keys = st.tuples(*[index] * low)
+    a = SemTensor(space, low, data.draw(st.dictionaries(keys, PAD_WEIGHTS, min_size=1, max_size=12)))
+    # B's rows often start with a key of a, so that the inner product is not 0
+    rows = st.one_of(st.sampled_from(sorted(a.entries)), keys)
+    b_keys = st.tuples(rows, st.tuples(*[index] * (high - low))).map(lambda p: p[0] + p[1])
+    b = SemTensor(space, high, data.draw(st.dictionaries(b_keys, PAD_WEIGHTS, min_size=1, max_size=30)))
+    meaning = SentenceMeaning(a, {1: SentenceSpace.N, 2: SentenceSpace.N2}[low])
+    embed = embed_to_transitive if high == 2 else embed_to_ditransitive
+
+    expected, expected_norm = oracle_pad(a, high)
+    padded = embed(meaning).value
+    assert list(padded.entries.items()) == list(expected.entries.items())
+    assert norm(padded) == expected_norm
+    assert cosine(embed(meaning).value, b) == cosine(expected, b)
+    assert cosine(embed(meaning).value, SemTensor(space, high, expected.entries)) == 1.0
+
+
+def test_padded_norm_is_the_sorted_sum_of_its_squares():
+    space = BasisRegistry("d5", tuple("abcde"))
+    a = SemTensor(space, 1, {(0,): -1.7, (1,): -0.4, (2,): 5.1, (3,): -3.5})
+    padded = embed_to_transitive(SentenceMeaning(a, SentenceSpace.N)).value
+    assert norm(padded) == oracle_pad(a, 2)[1] == 14.37184748040418
+    # the same norm as sqrt(d**m) * |a| is an ulp off
+    assert math.sqrt(5) * norm(a) == 14.371847480404183
 
 
 def test_align_orders():
