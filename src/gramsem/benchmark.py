@@ -16,8 +16,8 @@ sense of the context and 1 otherwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
+from ._value import Value
 from .composition import LexicalSemantics
 from .corpus import (
     TripleRecord,
@@ -70,14 +70,19 @@ def _sense_pairs(subjects: dict, objects: dict) -> list[tuple[str, str]]:
     return [(s, o) for s in subjects for o in objects]
 
 
-@dataclass(frozen=True)
-class TwoSenseBenchmark:
-    space: BasisRegistry
-    grammar: Lexicon
-    lex: LexicalSemantics
-    dataset: list[SentencePair]
-    documents: list[list[str]]
-    triples: list[TripleRecord]
+class TwoSenseBenchmark(Value):
+    _fields = ("space", "grammar", "lex", "dataset", "documents", "triples")
+
+    def __init__(
+        self, space: BasisRegistry, grammar: Lexicon, lex: LexicalSemantics,
+        dataset: list[SentencePair], documents: list[list[str]], triples: list[TripleRecord],
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "grammar", grammar)
+        object.__setattr__(self, "lex", lex)
+        object.__setattr__(self, "dataset", dataset)
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "triples", triples)
 
     def write_files(self, directory: str | os.PathLike) -> dict[str, str]:
         """Write corpus/basis/triples/lexicon/dataset files; returns the paths."""

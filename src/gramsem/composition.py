@@ -12,11 +12,11 @@ meanings unchanged.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .errors import CompositionError, UngrammaticalError
 from .pregroup import (
     ADJECTIVE, DITRANSITIVE_VERB, INTRANSITIVE_VERB, NOUN, TRANSITIVE_VERB, Lexicon, PregroupType,
@@ -50,23 +50,22 @@ class SentenceSpace(Enum):
 TRUTH_SPACE = BasisRegistry("B2", ("false", "true"))
 
 
-@dataclass(frozen=True)
-class SentenceMeaning:
-    value: SemTensor
-    sentence_space: SentenceSpace
+class SentenceMeaning(Value):
+    _fields = ("value", "sentence_space")
 
-    def __post_init__(self) -> None:
-        if self.value.order != self.sentence_space.order:
+    def __init__(self, value: SemTensor, sentence_space: SentenceSpace):
+        if value.order != sentence_space.order:
             raise ValueError(
-                f"tensor order {self.value.order} does not match "
-                f"sentence space {self.sentence_space.value}"
+                f"tensor order {value.order} does not match "
+                f"sentence space {sentence_space.value}"
             )
-        if self.sentence_space is SentenceSpace.TRUTH and len(self.value.space) != 2:
+        if sentence_space is SentenceSpace.TRUTH and len(value.space) != 2:
             raise ValueError("truth-space meanings need a 2-element basis")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "sentence_space", sentence_space)
 
 
-@dataclass(frozen=True)
-class LexicalSemantics:
+class LexicalSemantics(Value):
     """Word meanings: plain vectors plus relational tensors.
 
     ``vectors`` holds distributional vectors (nouns, and optionally verbs or
@@ -74,19 +73,21 @@ class LexicalSemantics:
     representations whose order must match the word's grammatical arity.
     """
 
-    space: BasisRegistry
-    vectors: Mapping[str, WeightedVector]
-    tensors: Mapping[str, SemTensor]
+    _fields = ("space", "vectors", "tensors")
 
-    def __post_init__(self) -> None:
-        for word, v in self.vectors.items():
-            if v.space != self.space:
-                raise CompositionError(f"vector for {word!r} is not in space {self.space.name!r}")
-        for word, t in self.tensors.items():
-            if t.space != self.space:
-                raise CompositionError(f"tensor for {word!r} is not in space {self.space.name!r}")
-        object.__setattr__(self, "vectors", dict(self.vectors))
-        object.__setattr__(self, "tensors", dict(self.tensors))
+    def __init__(
+        self, space: BasisRegistry,
+        vectors: Mapping[str, WeightedVector], tensors: Mapping[str, SemTensor],
+    ):
+        for word, v in vectors.items():
+            if v.space != space:
+                raise CompositionError(f"vector for {word!r} is not in space {space.name!r}")
+        for word, t in tensors.items():
+            if t.space != space:
+                raise CompositionError(f"tensor for {word!r} is not in space {space.name!r}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "vectors", dict(vectors))
+        object.__setattr__(self, "tensors", dict(tensors))
 
     def vector(self, word: str) -> WeightedVector:
         try:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import FileFormatError
 from .vectorspace import (
     PLAIN,
@@ -32,33 +32,41 @@ from .vectorspace import (
 )
 
 
-@dataclass(frozen=True)
-class TripleRecord:
+class TripleRecord(Value):
     """One verb occurrence: subject, verb, optional direct/indirect object."""
 
-    subject: str
-    verb: str
-    obj: str | None = None
-    iobj: str | None = None
+    _fields = ("subject", "verb", "obj", "iobj")
 
-    def __post_init__(self) -> None:
-        if not self.subject or not self.verb:
+    def __init__(self, subject: str, verb: str, obj: str | None = None, iobj: str | None = None):
+        if not subject or not verb:
             raise ValueError("triple needs a non-empty subject and verb")
-        if self.iobj is not None and self.obj is None:
+        if iobj is not None and obj is None:
             raise ValueError("a triple with an indirect object needs a direct object")
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "iobj", iobj)
 
 
-@dataclass
-class CountAccumulator:
+class CountAccumulator(Value):
     """Mutable counting state: per-target basis counts plus document frequencies.
 
     The only mutable stage of the pipeline.
     """
 
-    space: BasisRegistry
-    counts: dict[str, dict[int, int]] = field(default_factory=dict)
-    doc_frequency: dict[int, int] = field(default_factory=dict)
-    doc_count: int = 0
+    _fields = ("space", "counts", "doc_frequency", "doc_count")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, space: BasisRegistry, counts: dict[str, dict[int, int]] | None = None,
+        doc_frequency: dict[int, int] | None = None, doc_count: int = 0,
+    ):
+        self.space = space
+        self.counts = {} if counts is None else counts
+        self.doc_frequency = {} if doc_frequency is None else doc_frequency
+        self.doc_count = doc_count
 
     def bump(self, target: str, basis_index: int) -> None:
         row = self.counts.setdefault(target, {})

@@ -18,9 +18,9 @@ against each pair's mean rating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compose_sentence
 from .errors import CompositionError, DatasetError, DegenerateDataError
 from .pregroup import SENTENCE, Lexicon
@@ -32,35 +32,41 @@ HIGH = "HIGH"
 LOW = "LOW"
 
 
-@dataclass(frozen=True)
-class SentencePair:
-    pair_id: str
-    sentence_1: tuple[str, ...]
-    sentence_2: tuple[str, ...]
-    gold_rating: float | None = None
-    tag: str | None = None
+class SentencePair(Value):
+    _fields = ("pair_id", "sentence_1", "sentence_2", "gold_rating", "tag")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sentence_1", tuple(self.sentence_1))
-        object.__setattr__(self, "sentence_2", tuple(self.sentence_2))
-        if not self.sentence_1 or not self.sentence_2:
+    def __init__(
+        self, pair_id: str, sentence_1: Sequence[str], sentence_2: Sequence[str],
+        gold_rating: float | None = None, tag: str | None = None,
+    ):
+        sentence_1, sentence_2 = tuple(sentence_1), tuple(sentence_2)
+        if not sentence_1 or not sentence_2:
             raise ValueError("both sentences must be non-empty")
-        if self.gold_rating is not None and not 1.0 <= self.gold_rating <= 7.0:
-            raise ValueError(f"rating {self.gold_rating} outside [1, 7]")
-        if self.tag is not None and self.tag not in (HIGH, LOW):
-            raise ValueError(f"tag must be HIGH or LOW, got {self.tag!r}")
+        if gold_rating is not None and not 1.0 <= gold_rating <= 7.0:
+            raise ValueError(f"rating {gold_rating} outside [1, 7]")
+        if tag is not None and tag not in (HIGH, LOW):
+            raise ValueError(f"tag must be HIGH or LOW, got {tag!r}")
+        object.__setattr__(self, "pair_id", pair_id)
+        object.__setattr__(self, "sentence_1", sentence_1)
+        object.__setattr__(self, "sentence_2", sentence_2)
+        object.__setattr__(self, "gold_rating", gold_rating)
+        object.__setattr__(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class ModelScore:
-    mean_high: float
-    mean_low: float
-    rho: float
+class ModelScore(Value):
+    _fields = ("mean_high", "mean_low", "rho")
+
+    def __init__(self, mean_high: float, mean_low: float, rho: float):
+        object.__setattr__(self, "mean_high", mean_high)
+        object.__setattr__(self, "mean_low", mean_low)
+        object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    scores: Mapping[str, ModelScore]
+class ExperimentReport(Value):
+    _fields = ("scores",)
+
+    def __init__(self, scores: Mapping[str, ModelScore]):
+        object.__setattr__(self, "scores", scores)
 
     def table(self) -> str:
         lines = [f"{'Model':<14}{'High':>8}{'Low':>8}{'rho':>8}"]
@@ -321,6 +327,11 @@ def read_dataset(path) -> list[SentencePair]:
 
 
 def save_dataset(path, dataset: Sequence[SentencePair]) -> None:
+    """Write ``read_dataset``'s rows.  A pair id starting with '#' is refused:
+    its line would read back as a comment."""
+    for p in dataset:
+        if p.pair_id[:1] == "#":
+            raise ValueError(f"pair id {p.pair_id!r} starts with '#'")
     _write_lines(path, (
         f"{p.pair_id}\t{' '.join(p.sentence_1)}\t{' '.join(p.sentence_2)}"
         f"\t{'' if p.gold_rating is None else repr(p.gold_rating)}\t{p.tag or ''}"

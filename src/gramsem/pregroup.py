@@ -15,22 +15,22 @@ with iterated adjoints may (a documented limitation).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Value
 from .errors import LexiconError
 
 
-@dataclass(frozen=True)
-class AtomicType:
+class AtomicType(Value):
     """One base symbol with an adjoint order, e.g. n, n^r, s^ll."""
 
-    base: str
-    adjoint_order: int = 0
+    _fields = ("base", "adjoint_order")
 
-    def __post_init__(self) -> None:
-        if not self.base:
+    def __init__(self, base: str, adjoint_order: int = 0):
+        if not base:
             raise ValueError("base symbol must be non-empty")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "adjoint_order", adjoint_order)
 
     def __str__(self) -> str:
         z = self.adjoint_order
@@ -49,14 +49,13 @@ def right_adjoint(t: AtomicType) -> AtomicType:
     return AtomicType(t.base, t.adjoint_order + 1)
 
 
-@dataclass(frozen=True)
-class PregroupType:
+class PregroupType(Value):
     """Ordered sequence of atoms; the empty sequence is the unit."""
 
-    atoms: tuple[AtomicType, ...] = ()
+    _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+    def __init__(self, atoms: Iterable[AtomicType] = ()):
+        object.__setattr__(self, "atoms", tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -102,19 +101,18 @@ ADJECTIVE = "n n^l"
 DITRANSITIVE_VERB = "n^r s n^l n^l"
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Value):
     """Word -> set of pregroup type assignments.
 
     Looking up a word that has no assignment is a hard error: silently
     skipping unknown words would corrupt reductions downstream.
     """
 
-    entries: Mapping[str, tuple[PregroupType, ...]]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Mapping[str, Iterable[PregroupType]]):
         frozen: dict[str, tuple[PregroupType, ...]] = {}
-        for word, types in self.entries.items():
+        for word, types in entries.items():
             types = tuple(types)
             if not word or not types:
                 raise LexiconError(f"word {word!r} needs at least one type")
@@ -192,13 +190,18 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_lexicon(path, lexicon: Lexicon) -> None:
+    """Write ``load_lexicon``'s lines.  A word or type containing '#' is
+    refused: ``load_lexicon`` cuts each line at its first '#'."""
     from .vectorspace import _write_lines
 
-    _write_lines(path, (f"{w}\t{t}" for w in sorted(lexicon.entries) for t in lexicon.entries[w]))
+    pairs = [(w, str(t)) for w in sorted(lexicon.entries) for t in lexicon.entries[w]]
+    for word, typ in pairs:
+        if "#" in word or "#" in typ:
+            raise ValueError(f"lexicon entry {word!r}: {typ!r} contains '#'")
+    _write_lines(path, (f"{word}\t{typ}" for word, typ in pairs))
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Value):
     """Outcome of reducing a typed string.
 
     ``atoms`` is the flattened atom sequence of the input, ``links`` the
@@ -207,18 +210,16 @@ class ReductionResult:
     the stack pass are always planar (never crossing).
     """
 
-    atoms: tuple[AtomicType, ...]
-    links: tuple[tuple[int, int], ...]
-    residual: PregroupType = field(init=False)
+    _fields = ("atoms", "links", "residual")
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: tuple[AtomicType, ...], links: tuple[tuple[int, int], ...]):
         linked = set()
-        for i, j in self.links:
+        for i, j in links:
             linked.add(i)
             linked.add(j)
-        residual = PregroupType(
-            tuple(a for pos, a in enumerate(self.atoms) if pos not in linked)
-        )
+        residual = PregroupType(tuple(a for pos, a in enumerate(atoms) if pos not in linked))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "links", links)
         object.__setattr__(self, "residual", residual)
 
 

@@ -13,21 +13,20 @@ import operator
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
+from ._value import Value
 from .errors import FileFormatError, GramsemError, SpaceMismatchError, UnknownLabelError
 
 PLAIN = "plain"
 STRUCTURED = "structured"
 
 
-@dataclass(frozen=True)
-class BasisRegistry:
+class BasisRegistry(Value):
     """Bijection between basis labels and dense indices for one space.
 
     ``kind`` is ``"plain"`` for bare-word bases and ``"structured"`` for
@@ -35,18 +34,17 @@ class BasisRegistry:
     (e.g. ``arg-fluffy``, ``subj-chase``, ``obj-buy``).
     """
 
-    name: str
-    labels: tuple[str, ...]
-    kind: str = PLAIN
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "labels", "kind")  # not the derived ``_index``
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, labels: Sequence[str], kind: str = PLAIN):
+        if not name:
             raise ValueError("space name must be non-empty")
-        if self.kind not in (PLAIN, STRUCTURED):
-            raise ValueError(f"unknown basis kind: {self.kind!r}")
-        labels = tuple(self.labels)
+        if kind not in (PLAIN, STRUCTURED):
+            raise ValueError(f"unknown basis kind: {kind!r}")
+        labels = tuple(labels)
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "kind", kind)
         index: dict[str, int] = {}
         for i, label in enumerate(labels):
             if not label:
@@ -55,7 +53,7 @@ class BasisRegistry:
                 raise ValueError(f"basis label {label!r} starts with '#'")
             if label in index:
                 raise ValueError(f"duplicate basis label: {label!r}")
-            if self.kind == STRUCTURED and not _is_rel_word(label):
+            if kind == STRUCTURED and not _is_rel_word(label):
                 raise ValueError(f"structured label must have the form 'rel-word': {label!r}")
             index[label] = i
         object.__setattr__(self, "_index", index)
@@ -107,26 +105,25 @@ def _kept(entries: dict) -> dict:
     return _nonzero(entries)
 
 
-@dataclass(frozen=True)
-class WeightedVector:
+class WeightedVector(Value):
     """Sparse map basis-index -> weight, bound to one space.
 
     Treat instances as immutable values; build modified copies through the
     module-level operations instead of mutating ``entries``.
     """
 
-    space: BasisRegistry
-    entries: Mapping[int, float]
+    _fields = ("space", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: BasisRegistry, entries: Mapping[int, float]):
         clean: dict[int, float] = {}
-        for i, w in self.entries.items():
-            i = _as_index(i, self.space)
+        for i, w in entries.items():
+            i = _as_index(i, space)
             w = float(w)
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w!r} at index {i}")
             if w != 0.0:
                 clean[i] = w
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", clean)
 
     @classmethod
@@ -160,8 +157,7 @@ class WeightedVector:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class SemTensor:
+class SemTensor(Value):
     """Sparse order-1/2/3 tensor over a space, stored as coordinate entries.
 
     Order-2 tensors hold transitive-verb (and general adjective) weights,
@@ -169,23 +165,23 @@ class SemTensor:
     intransitive verbs and adjectives.
     """
 
-    space: BasisRegistry
-    order: int
-    entries: Mapping[tuple[int, ...], float]
+    _fields = ("space", "order", "entries")
 
-    def __post_init__(self) -> None:
-        if self.order not in (1, 2, 3):
-            raise ValueError(f"tensor order must be 1, 2 or 3, got {self.order}")
+    def __init__(self, space: BasisRegistry, order: int, entries: Mapping[tuple[int, ...], float]):
+        if order not in (1, 2, 3):
+            raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
         clean: dict[tuple[int, ...], float] = {}
-        for key, w in self.entries.items():
-            key = tuple(_as_index(i, self.space) for i in key)
-            if len(key) != self.order:
-                raise ValueError(f"index tuple {key} does not match order {self.order}")
+        for key, w in entries.items():
+            key = tuple(_as_index(i, space) for i in key)
+            if len(key) != order:
+                raise ValueError(f"index tuple {key} does not match order {order}")
             w = float(w)
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w!r} at {key}")
             if w != 0.0:
                 clean[key] = w
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "entries", clean)
 
     @classmethod

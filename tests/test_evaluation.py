@@ -300,6 +300,18 @@ def test_dataset_file_round_trip(tmp_path, world):
         read_dataset(path)
 
 
+def test_save_dataset_refuses_a_pair_id_starting_with_hash(tmp_path):
+    # read_dataset skips a line starting with '#' as a comment, so the pair would be lost
+    pairs = [SentencePair("#1", ("a",), ("b",)), SentencePair("p2", ("a",), ("c",))]
+    path = tmp_path / "dataset.tsv"
+    with pytest.raises(ValueError, match="pair id '#1' starts with '#'"):
+        save_dataset(path, pairs)
+    assert list(tmp_path.iterdir()) == []
+    kept = [SentencePair("p#1", ("a",), ("b",)), pairs[1]]
+    save_dataset(path, kept)
+    assert read_dataset(path) == kept
+
+
 # --- word roles follow the reduction -------------------------------------------------
 
 

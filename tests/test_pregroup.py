@@ -184,6 +184,19 @@ def test_lexicon_file_round_trip(tmp_path):
     assert loaded == lexicon
 
 
+@pytest.mark.parametrize("word, typ", [
+    ("c#", NOUN),  # load_lexicon would read 'c' with no type
+    ("#x", NOUN),  # load_lexicon would drop the line
+    ("dogs", "n#"),
+])
+def test_save_lexicon_refuses_an_entry_containing_hash(tmp_path, word, typ):
+    # load_lexicon cuts each line at its first '#', so the entry could not be read back
+    lexicon = Lexicon.from_pairs([("cats", NOUN), (word, typ)])
+    with pytest.raises(ValueError, match="contains '#'"):
+        save_lexicon(tmp_path / "lexicon.tsv", lexicon)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lexicon_file_comments_and_errors(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("# comment\ndogs\tn\nchase\tn^r s n^l  # verb\n", encoding="utf-8")
