@@ -57,13 +57,16 @@ def cmd_build_nouns(args) -> int:
     hashed = {word for word in targets if word[0] == "#"}
     targets = sorted(targets - hashed)  # the set of every token is freed here
     acc = corpus.count_cooccurrence(documents, targets, space, window=args.window)
+    n_documents = len(documents)
+    del documents  # counted; the counts go too once weighted: no command holds more memory
     vectors = corpus.tfidf(acc) if args.weighting == "tfidf" else corpus.raw_vectors(acc)
+    del acc
     out = args.out or "nouns.tsv"
     vectorspace.save_vectors(out, vectors, space)
     # A target with no nonzero weight writes no row: later commands treat it
     # as out of vocabulary, so say how many there were.
     zero = len(targets) - sum(1 for v in vectors.values() if not v.is_zero())
-    _summary(documents=len(documents), targets=len(targets), zero_vectors=zero, written=out,
+    _summary(documents=n_documents, targets=len(targets), zero_vectors=zero, written=out,
              hash_words=len(hashed))
     return 0
 

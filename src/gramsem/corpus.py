@@ -13,7 +13,7 @@ triples and adjective-argument records arrive pre-parsed.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import _count_elements, defaultdict
 from typing import Iterable, Sequence
 
 from ._value import Value
@@ -95,25 +95,25 @@ def count_cooccurrence(
         raise ValueError("window must be >= 1")
     target_set = set(targets)
     index_of = basis._index.get
-    rows: defaultdict[str, Counter] = defaultdict(Counter)
-    doc_frequency: Counter = Counter()
+    rows: defaultdict[str, dict] = defaultdict(dict)
     acc = CountAccumulator(basis)
     for tokens in documents:
         acc.doc_count += 1
         # One lookup per token; None marks a token outside the basis and is
         # counted like any index, then dropped once at the end.
-        ids = [index_of(token) for token in tokens]
-        doc_frequency.update(set(ids))
+        ids = list(map(index_of, tokens))
+        _count_elements(acc.doc_frequency, set(ids))
         for position, token in enumerate(tokens):
             if token in target_set:
-                left = ids[max(0, position - window):position]
-                rows[token].update(left + ids[position + 1:position + window + 1])
+                lo = position - window if position > window else 0
+                span = ids[lo:position + window + 1]
+                del span[position - lo]
+                _count_elements(rows[token], span)  # Counter.update's C core, minus its frame
     for token, row in rows.items():
         row.pop(None, None)
         if row:
-            acc.counts[token] = dict(row)
-    doc_frequency.pop(None, None)
-    acc.doc_frequency = dict(doc_frequency)
+            acc.counts[token] = row
+    acc.doc_frequency.pop(None, None)
     return acc
 
 
@@ -229,11 +229,12 @@ def build_adjective_tensor(
 
 def read_corpus(path) -> list[list[str]]:
     documents = []
+    seen: dict[str, str] = {}  # one string object per distinct token
     with open_text(path) as handle:
         for line in handle:
             tokens = line.split()
             if tokens:
-                documents.append(tokens)
+                documents.append(list(map(seen.setdefault, tokens, tokens)))
     return documents
 
 

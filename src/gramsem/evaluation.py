@@ -25,7 +25,7 @@ from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compo
 from .errors import CompositionError, DatasetError, DegenerateDataError
 from .pregroup import SENTENCE, Lexicon
 from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
-from .vectorspace import _read_records, _write_lines
+from .vectorspace import _breaks_line, _read_records, _write_lines
 
 MODELS = ("categorical", "add", "multiply", "weighted_add", "verb_baseline")
 HIGH = "HIGH"
@@ -328,10 +328,13 @@ def read_dataset(path) -> list[SentencePair]:
 
 def save_dataset(path, dataset: Sequence[SentencePair]) -> None:
     """Write ``read_dataset``'s rows.  A pair id starting with '#' is refused:
-    its line would read back as a comment."""
+    its line would read back as a comment.  So is one holding a tab or line
+    break, and a sentence word that ``str.split`` would not read back whole."""
     for p in dataset:
-        if p.pair_id[:1] == "#":
-            raise ValueError(f"pair id {p.pair_id!r} starts with '#'")
+        if p.pair_id[:1] == "#" or _breaks_line(p.pair_id):
+            raise ValueError(f"pair id {p.pair_id!r} starts with '#' or holds a tab or line break")
+        if split := [w for w in p.sentence_1 + p.sentence_2 if w.split() != [w]]:
+            raise ValueError(f"word {split[0]!r} of pair {p.pair_id!r} is not one token")
     _write_lines(path, (
         f"{p.pair_id}\t{' '.join(p.sentence_1)}\t{' '.join(p.sentence_2)}"
         f"\t{'' if p.gold_rating is None else repr(p.gold_rating)}\t{p.tag or ''}"

@@ -190,14 +190,14 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_lexicon(path, lexicon: Lexicon) -> None:
-    """Write ``load_lexicon``'s lines.  A word or type containing '#' is
-    refused: ``load_lexicon`` cuts each line at its first '#'."""
-    from .vectorspace import _write_lines
+    """Write ``load_lexicon``'s lines.  A word or type holding '#' (where
+    ``load_lexicon`` cuts the line), a tab or a line break is refused."""
+    from .vectorspace import _breaks_line, _write_lines
 
     pairs = [(w, str(t)) for w in sorted(lexicon.entries) for t in lexicon.entries[w]]
     for word, typ in pairs:
-        if "#" in word or "#" in typ:
-            raise ValueError(f"lexicon entry {word!r}: {typ!r} contains '#'")
+        if "#" in word or "#" in typ or _breaks_line(word) or _breaks_line(typ):
+            raise ValueError(f"lexicon entry {word!r}: {typ!r} contains '#', a tab or a line break")
     _write_lines(path, (f"{word}\t{typ}" for word, typ in pairs))
 
 

@@ -440,6 +440,11 @@ def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
             handle.write(line + "\n")
 
 
+def _breaks_line(field: str) -> bool:
+    """Whether ``field`` holds a tab or a line break: the readers split it there."""
+    return "\t" in field or "\n" in field or "\r" in field
+
+
 def _undecodable(path: str | os.PathLike, error: type[GramsemError]) -> GramsemError:
     # Only called once decoding has failed: the readers' loops count no
     # bytes, so the line is found by decoding the file again line by line,
@@ -569,18 +574,26 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
 def save_vectors(
     path: str | os.PathLike, vectors: Mapping[str, WeightedVector], space: BasisRegistry
 ) -> None:
-    """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``.
-    A word starting with '#' is refused: its rows would read as comments."""
+    """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``
+    in label order.  A word starting with '#' (its rows would read as
+    comments) or holding a tab or line break is refused."""
+    labels = space.labels
+    rank = {i: place for place, i in enumerate(sorted(range(len(labels)), key=labels.__getitem__))}
+    reprs: dict[float, str] = {}  # weights are nonzero and repeat: one repr per value
     with atomic_write(path) as handle:
         _write_header(handle, space)
         for word in sorted(vectors):
-            if word[:1] == "#":
-                raise ValueError(f"word {word!r} starts with '#'")
+            if word[:1] == "#" or _breaks_line(word):
+                raise ValueError(f"word {word!r} starts with '#' or holds a tab or line break")
             v = vectors[word]
             if v.space != space:
                 raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
-            for label, w in sorted(v.labelled().items()):
-                handle.write(f"{word}\t{label}\t{w!r}\n")
+            e = v.entries
+            new = set(e.values()).difference(reprs)
+            reprs.update(zip(new, map(repr, new)))
+            handle.write("".join(
+                f"{word}\t{labels[i]}\t{reprs[e[i]]}\n" for i in sorted(e, key=rank.__getitem__)
+            ))
 
 
 def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:

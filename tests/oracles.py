@@ -22,8 +22,15 @@ from gramsem.pregroup import (
     cancels,
     parse_type,
 )
-from gramsem.errors import FileFormatError, UnknownLabelError
-from gramsem.vectorspace import BasisRegistry, SemTensor, WeightedVector, open_text
+from gramsem.errors import FileFormatError, SpaceMismatchError, UnknownLabelError
+from gramsem.vectorspace import (
+    BasisRegistry,
+    SemTensor,
+    WeightedVector,
+    _write_header,
+    atomic_write,
+    open_text,
+)
 
 # --- exhaustive pregroup cancellation ---------------------------------------
 
@@ -270,3 +277,25 @@ def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[s
     if zero:
         weights = {word: {i: w for i, w in ws.items() if w} for word, ws in weights.items()}
     return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}
+
+
+# --- the row-by-row vector writer --------------------------------------------
+# Copied from the library as it was before it wrote each word with one call:
+# the word's ``labelled()`` dict sorted by label, one ``write`` per row.
+
+
+def oracle_save_vectors(
+    path: str | os.PathLike, vectors: dict[str, WeightedVector], space: BasisRegistry
+) -> None:
+    """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``.
+    A word starting with '#' is refused: its rows would read as comments."""
+    with atomic_write(path) as handle:
+        _write_header(handle, space)
+        for word in sorted(vectors):
+            if word[:1] == "#":
+                raise ValueError(f"word {word!r} starts with '#'")
+            v = vectors[word]
+            if v.space != space:
+                raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
+            for label, w in sorted(v.labelled().items()):
+                handle.write(f"{word}\t{label}\t{w!r}\n")

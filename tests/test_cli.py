@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -279,6 +280,23 @@ def test_cli_built_semantics_match_library(benchmark_files):
         assert lex.vectors[word] == vector
     for verb, tensor in world.lex.tensors.items():
         assert lex.tensors[verb] == tensor
+
+
+@pytest.mark.parametrize("weighting, window, digest", [
+    ("raw", "2", "32822ae37a47bd5f83a9e7f3233d380122780ce15d46761c82fff81dbbc989e5"),  # README's
+    ("tfidf", "5", "e74257091de818f17c78484be800018a854c241f17406256f7013250bc4a7810"),
+])
+def test_build_nouns_writes_the_pinned_bytes(benchmark_files, tmp_path, weighting, window, digest):
+    # The bytes of nouns.tsv from the bundled benchmark: a count or a row
+    # that drifts changes them.  Its documents are two tokens long, so the
+    # edges of wider windows are left to test_corpus's neighbour-loop test.
+    _, paths = benchmark_files
+    out = tmp_path / "nouns.tsv"
+    assert main([
+        "build-nouns", "--corpus", paths["corpus"], "--basis", paths["basis"],
+        "--weighting", weighting, "--window", window, "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sim_command(benchmark_files, capsys):

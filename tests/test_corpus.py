@@ -104,9 +104,10 @@ COUNT_TARGETS = ("b", "c", "a", "f", "ghost")
 
 @settings(max_examples=300, deadline=None)
 @given(
-    documents=st.lists(st.lists(st.sampled_from(COUNT_TOKENS), max_size=14), max_size=6),
+    # a window may be wider than its whole document
+    documents=st.lists(st.lists(st.sampled_from(COUNT_TOKENS), max_size=30), max_size=6),
     targets=st.sets(st.sampled_from(COUNT_TARGETS)),
-    window=st.integers(1, 6),
+    window=st.integers(1, 20),
 )
 def test_window_counting_equals_the_neighbour_loop(documents, targets, window):
     acc = count_cooccurrence(documents, targets, COUNT_SPACE, window)
@@ -283,6 +284,17 @@ def test_read_corpus(tmp_path):
         ["the", "map", "showed", "the", "location"],
         ["the", "table", "showed"],
     ]
+
+
+def test_read_corpus_holds_one_string_per_distinct_token(tmp_path):
+    lines = ["the map showed the location", "", "the table  showed", "location map"]
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    documents = read_corpus(path)
+    assert documents == [line.split() for line in lines if line.split()]
+    first: dict[str, str] = {}
+    for token in (token for document in documents for token in document):
+        assert first.setdefault(token, token) is token
 
 
 def test_read_triples(tmp_path):

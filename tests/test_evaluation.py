@@ -312,6 +312,27 @@ def test_save_dataset_refuses_a_pair_id_starting_with_hash(tmp_path):
     assert read_dataset(path) == kept
 
 
+@pytest.mark.parametrize("pair", [
+    SentencePair("p\t1", ("a",), ("b",)),  # one field more: the line fails to read
+    SentencePair("p\n1", ("a",), ("b",)),
+    SentencePair("p1\r", ("a",), ("b",)),
+])
+def test_save_dataset_refuses_a_pair_id_holding_a_tab_or_line_break(tmp_path, pair):
+    with pytest.raises(ValueError, match="holds a tab or line break"):
+        save_dataset(tmp_path / "dataset.tsv", [SentencePair("p0", ("a",), ("b",)), pair])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("word", ["big dog", "big\tdog", "dog\n", " dog", "", "\u00a0"])
+def test_save_dataset_refuses_a_word_that_is_not_one_token(tmp_path, word):
+    # read_dataset splits each sentence at whitespace: 'big dog' would read
+    # back as two words, '' as none
+    pair = SentencePair("p1", ("a",), ("cat", word))
+    with pytest.raises(ValueError, match="is not one token"):
+        save_dataset(tmp_path / "dataset.tsv", [pair])
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- word roles follow the reduction -------------------------------------------------
 
 

@@ -9,6 +9,10 @@ lines, rows of the wrong width, unknown labels, duplicates, weights that
 are not finite numbers, bytes that are not UTF-8 and files with several
 faults or no final newline, both give the same result in the same order,
 or the same exception with the same message.
+
+``save_vectors`` writes each word with one call, its rows ordered by a
+precomputed rank of each basis index; it writes the same bytes as the
+writer that sorted each word's ``labelled()`` dict and wrote row by row.
 """
 
 import os
@@ -18,8 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_tensor, oracle_load_vectors
-from gramsem.vectorspace import BasisRegistry, load_tensor, load_vectors
+from oracles import oracle_load_tensor, oracle_load_vectors, oracle_save_vectors
+from gramsem.vectorspace import (
+    BasisRegistry,
+    WeightedVector,
+    load_tensor,
+    load_vectors,
+    save_vectors,
+)
 
 SPACE = BasisRegistry("s", ("a", "b", "c"))
 GOOD_WEIGHTS = st.one_of(
@@ -148,3 +158,38 @@ def test_the_files_reach_every_outcome(kind):
 
     collect()
     assert seen == {"ok", "ok, empty", *MARKERS[kind]}
+
+
+# Labels whose sorted order is not the order they are drawn in, so the
+# writer's rank of each index is tested; a benchmark basis (c0000, c0001, ...)
+# is sorted already.
+WRITER_LABELS = ("b", "a", "B", "10", "9", "é", "Z1", "0")
+WRITER_WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # subnormals, and weights met again across words and labels
+    st.sampled_from([5e-324, -5e-324, 1e-310, -2.5e-320, 1.5, -1.5, 0.1, -3.0]),
+)
+
+
+@SETTINGS
+@given(
+    labels=st.lists(st.sampled_from(WRITER_LABELS), min_size=1, unique=True),
+    rows=st.dictionaries(
+        st.sampled_from(["w", "v", "u", "é", "a b", "#w", "w#"]),
+        st.dictionaries(st.integers(0, len(WRITER_LABELS) - 1), WRITER_WEIGHTS, max_size=8),
+        max_size=5,
+    ),
+)
+def test_save_vectors_equals_the_row_by_row_writer(labels, rows):
+    space = BasisRegistry("s", labels)
+    vectors = {
+        word: WeightedVector(space, {i % len(labels): w for i, w in weights.items()})
+        for word, weights in rows.items()
+    }
+    written = []
+    with tempfile.TemporaryDirectory() as directory:
+        for k, save in enumerate((save_vectors, oracle_save_vectors)):
+            path = os.path.join(directory, f"{k}.tsv")
+            kind = outcome(save, path, vectors, space)[0]  # messages may differ
+            written.append((kind, open(path, "rb").read() if os.path.exists(path) else None))
+    assert written[0] == written[1]

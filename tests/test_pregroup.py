@@ -197,6 +197,19 @@ def test_save_lexicon_refuses_an_entry_containing_hash(tmp_path, word, typ):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("word, typ", [
+    ("do\tg", NOUN),  # load_lexicon would find three fields
+    ("do\ng", NOUN),
+    ("dog\r", NOUN),
+    ("dogs", PregroupType((AtomicType("n\tx"),))),
+])
+def test_save_lexicon_refuses_an_entry_holding_a_tab_or_line_break(tmp_path, word, typ):
+    lexicon = Lexicon.from_pairs([("cats", NOUN), (word, typ)])
+    with pytest.raises(ValueError, match="a tab or a line break"):
+        save_lexicon(tmp_path / "lexicon.tsv", lexicon)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lexicon_file_comments_and_errors(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("# comment\ndogs\tn\nchase\tn^r s n^l  # verb\n", encoding="utf-8")

@@ -347,6 +347,15 @@ def test_save_vectors_refuses_a_word_starting_with_hash(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("word", ["do\tg", "do\ng", "dog\r"])
+def test_save_vectors_refuses_a_word_holding_a_tab_or_line_break(tmp_path, word):
+    # load_vectors splits its lines there: the file would not read back
+    path = tmp_path / "nouns.tsv"
+    with pytest.raises(ValueError, match="holds a tab or line break"):
+        save_vectors(path, {"cat": vec(SPACE3, 1.0), word: vec(SPACE3, 2.0)}, SPACE3)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_file_header_is_validated(tmp_path):
     v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.0})
     path = tmp_path / "v.tsv"
