@@ -261,6 +261,8 @@ def read_basis(path, name: str | None = None, kind: str = PLAIN) -> BasisRegistr
             label = line.strip()
             if not label or label.startswith("#"):
                 continue
+            if "\t" in label:  # text mode split the file at \n and \r; rows would split here
+                raise FileFormatError(f"{path}:{lineno}: basis label {label!r} holds a tab")
             if label in first_line:
                 raise FileFormatError(
                     f"{path}:{lineno}: duplicate basis label {label!r},"

@@ -13,7 +13,7 @@ import operator
 import os
 import tempfile
 from contextlib import contextmanager
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -37,8 +37,8 @@ class BasisRegistry(Value):
     _fields = ("name", "labels", "kind")  # not the derived ``_index``
 
     def __init__(self, name: str, labels: Sequence[str], kind: str = PLAIN):
-        if not name:
-            raise ValueError("space name must be non-empty")
+        if not name or _breaks_line(name):  # the '#space' header line would split there
+            raise ValueError(f"space name {name!r} is empty or holds a tab or line break")
         if kind not in (PLAIN, STRUCTURED):
             raise ValueError(f"unknown basis kind: {kind!r}")
         labels = tuple(labels)
@@ -49,8 +49,8 @@ class BasisRegistry(Value):
         for i, label in enumerate(labels):
             if not label:
                 raise ValueError("basis labels must be non-empty")
-            if label[0] == "#":  # files read a row that starts with '#' as a comment
-                raise ValueError(f"basis label {label!r} starts with '#'")
+            if label[0] == "#" or _breaks_line(label):  # its rows would read as comments, or split
+                raise ValueError(f"basis label {label!r} starts with '#' or holds a tab or line break")
             if label in index:
                 raise ValueError(f"duplicate basis label: {label!r}")
             if kind == STRUCTURED and not _is_rel_word(label):
@@ -458,10 +458,6 @@ def _undecodable(path: str | os.PathLike, error: type[GramsemError]) -> GramsemE
     return error(f"{path}: not valid UTF-8")
 
 
-def _write_header(handle, space: BasisRegistry) -> None:
-    handle.write(f"#space\t{space.name}\t{space.kind}\n")
-
-
 def _check_header(handle, path: str | os.PathLike, space: BasisRegistry) -> None:
     """Read a file's first line, which must be the '#space' header naming ``space``."""
     header = handle.readline().rstrip("\n").split("\t")
@@ -529,12 +525,39 @@ def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, en
     return order
 
 
-def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
+def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], values) -> None:
+    """Write the '#space' line, ``header`` and each of ``values`` (a row prefix, entries keyed
+    by index at order 1, else by index tuples, and their order) as rows in label order, 8192
+    to a ``write``.  Labels are unique, so tuples of ranks sort as tuples of labels do."""
+    ordered = sorted(used, key=space.labels.__getitem__)
+    rank = [0] * len(space)  # a list indexes faster than a dict
+    for place, i in enumerate(ordered):
+        rank[i] = place
+    names = [space.labels[i] for i in ordered]  # by rank
+    reprs: dict[float, str] = {}  # weights are nonzero: equal floats have equal reprs
     with atomic_write(path) as handle:
-        _write_header(handle, t.space)
-        handle.write(f"#order\t{t.order}\n")
-        for labels, w in sorted(t.labelled().items()):
-            handle.write("\t".join(labels) + f"\t{w!r}\n")
+        handle.write(f"#space\t{space.name}\t{space.kind}\n{header}")
+        for prefix, entries, order in values:
+            new = set(entries.values()).difference(reprs)
+            reprs.update(zip(new, map(repr, new)))
+            if order == 1:
+                keys = sorted(entries, key=rank.__getitem__)
+                rows = (f"{prefix}{names[rank[a]]}\t{reprs[entries[a]]}\n" for a in keys)
+            elif order == 2:
+                keys = sorted([(rank[a], rank[b], w) for (a, b), w in entries.items()])
+                rows = (f"{prefix}{names[a]}\t{names[b]}\t{reprs[w]}\n" for a, b, w in keys)
+            else:
+                keys = sorted([(rank[a], rank[b], rank[c], w) for (a, b, c), w in entries.items()])
+                rows = (f"{prefix}{names[a]}\t{names[b]}\t{names[c]}\t{reprs[w]}\n"
+                        for a, b, c, w in keys)
+            while chunk := "".join(islice(rows, 8192)):
+                handle.write(chunk)
+
+
+def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
+    entries = t.to_vector().entries if t.order == 1 else t.entries
+    used = set(chain.from_iterable(t.entries))
+    _write_rows(path, t.space, f"#order\t{t.order}\n", used, [("", entries, t.order)])
 
 
 def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
@@ -576,24 +599,15 @@ def save_vectors(
 ) -> None:
     """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``
     in label order.  A word starting with '#' (its rows would read as
-    comments) or holding a tab or line break is refused."""
-    labels = space.labels
-    rank = {i: place for place, i in enumerate(sorted(range(len(labels)), key=labels.__getitem__))}
-    reprs: dict[float, str] = {}  # weights are nonzero and repeat: one repr per value
-    with atomic_write(path) as handle:
-        _write_header(handle, space)
-        for word in sorted(vectors):
-            if word[:1] == "#" or _breaks_line(word):
-                raise ValueError(f"word {word!r} starts with '#' or holds a tab or line break")
-            v = vectors[word]
-            if v.space != space:
-                raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
-            e = v.entries
-            new = set(e.values()).difference(reprs)
-            reprs.update(zip(new, map(repr, new)))
-            handle.write("".join(
-                f"{word}\t{labels[i]}\t{reprs[e[i]]}\n" for i in sorted(e, key=rank.__getitem__)
-            ))
+    comments) or holding a tab or line break is refused before any file is written."""
+    words = sorted(vectors)
+    for word in words:
+        if word[:1] == "#" or _breaks_line(word):
+            raise ValueError(f"word {word!r} starts with '#' or holds a tab or line break")
+        if vectors[word].space != space:
+            raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
+    values = ((f"{word}\t", vectors[word].entries, 1) for word in words)
+    _write_rows(path, space, "", range(len(space)), values)
 
 
 def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:

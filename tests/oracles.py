@@ -27,7 +27,6 @@ from gramsem.vectorspace import (
     BasisRegistry,
     SemTensor,
     WeightedVector,
-    _write_header,
     atomic_write,
     open_text,
 )
@@ -279,9 +278,22 @@ def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[s
     return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}
 
 
-# --- the row-by-row vector writer --------------------------------------------
-# Copied from the library as it was before it wrote each word with one call:
-# the word's ``labelled()`` dict sorted by label, one ``write`` per row.
+# --- the row-by-row writers -------------------------------------------------
+# Copied from the library as it was before its writers ranked the labels once:
+# each value's ``labelled()`` dict sorted by label, one ``write`` per row.
+# Only the public names gained the ``oracle_`` prefix.
+
+
+def _write_header(handle, space: BasisRegistry) -> None:
+    handle.write(f"#space\t{space.name}\t{space.kind}\n")
+
+
+def oracle_save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
+    with atomic_write(path) as handle:
+        _write_header(handle, t.space)
+        handle.write(f"#order\t{t.order}\n")
+        for labels, w in sorted(t.labelled().items()):
+            handle.write("\t".join(labels) + f"\t{w!r}\n")
 
 
 def oracle_save_vectors(

@@ -9,14 +9,15 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fixtures import SAMPLE_LABELS, SAMPLE_NOUNS, SAMPLE_SPACE, sample_vector, show_oracle_entry
+from oracles import oracle_count_cooccurrence, oracle_save_vectors
 from gramsem.benchmark import two_sense_benchmark
 from gramsem.cli import main
 from gramsem.corpus import read_basis
-from gramsem.vectorspace import load_tensor, load_vectors, save_vectors
+from gramsem.vectorspace import WeightedVector, load_tensor, load_vectors, save_vectors
 
 
 def run(capsys, *argv):
@@ -299,6 +300,74 @@ def test_build_nouns_writes_the_pinned_bytes(benchmark_files, tmp_path, weightin
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("word, digest", [
+    ("charge", "3a2c93ee7a790986d5a9c5ebd8a3b27625ccff2309b01b796d05244b25fa570e"),
+    ("storm", "606af207fbc1deb508431f7c67426189e362665e9cb1f5d70afd3db8d45bd707"),
+    ("bill", "fc2622e973438ccb8002a0e2c26bea65c485d018b1c2d3c2ad1787ae13b197db"),
+    ("fierce", "c4b942861ce8d6c19a15658c77c9e438445bf2032706d0bda5fe2758ec379b00"),
+])
+def test_build_verb_and_build_adj_write_the_pinned_bytes(benchmark_files, tmp_path, word, digest):
+    # The tensor files of the README session, with build-adj as CI runs it.
+    # The basis is words, so label order is not index order: a rank, a repr
+    # or a row order that drifts changes these bytes.
+    _, paths = benchmark_files
+    out = tmp_path / f"{word}.tsv"
+    common = ("--basis", paths["basis"], "--semantics-dir", paths["semantics"], "--out", str(out))
+    if word == "fierce":
+        records = tmp_path / "adjectives.tsv"
+        records.write_text("fierce\tknight\nfierce\tarmy\nfierce\tghost\n", encoding="utf-8")
+        assert main(["build-adj", word, "--triples", str(records), *common]) == 0
+    else:
+        assert main(["build-verb", word, "--triples", paths["triples"], *common]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Documents of 14 to 16 tokens, longer than 2 * window + 1 at --window 5, so
+# windows are cut at both ends of a document and also end inside it.
+WINDOW_CORPUS = (
+    "ant bee cat dog eel fox gnu hen ibis jay kiwi lark ant bee",
+    "lark kiwi jay ibis hen gnu fox eel dog cat bee ant lark kiwi jay",
+    "cat cat dog ant fox fox eel bee hen jay gnu ant kiwi lark ibis cat",
+)
+WINDOW_BASIS = ("lark", "bee", "dog", "fox", "cat", "hen", "jay")
+
+
+@pytest.mark.parametrize("window, digest", [
+    ("2", "cde5b29cf183bb94ed84f5f51f50afd3fad97ded2cf0a899e9db55436c47c2fe"),
+    ("5", "c13069ede774daddffba514795fb971f47e2859294691b4c264a89afc2962487"),
+])
+def test_build_nouns_counts_to_the_window_edges(tmp_path, window, digest):
+    # The expected bytes come from the neighbour-loop count and the
+    # row-by-row writer of tests/oracles.py, not from the program.
+    corpus, basis = tmp_path / "corpus.txt", tmp_path / "basis.txt"
+    corpus.write_text("".join(f"{doc}\n" for doc in WINDOW_CORPUS), encoding="utf-8")
+    basis.write_text("".join(f"{label}\n" for label in WINDOW_BASIS), encoding="utf-8")
+    out, expected = tmp_path / "nouns.tsv", tmp_path / "expected.tsv"
+    assert main(["build-nouns", "--corpus", str(corpus), "--basis", str(basis),
+                 "--weighting", "raw", "--window", window, "--out", str(out)]) == 0
+    space = read_basis(basis, name="N")
+    documents = [doc.split() for doc in WINDOW_CORPUS]
+    targets = sorted({token for doc in documents for token in doc})
+    acc = oracle_count_cooccurrence(documents, targets, space, int(window))
+    vectors = {word: WeightedVector(space, {i: float(c) for i, c in row.items()})
+               for word, row in acc.counts.items()}
+    oracle_save_vectors(expected, vectors, space)
+    assert out.read_bytes() == expected.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_build_nouns_refuses_a_basis_label_holding_a_tab(tmp_path, capsys):
+    # read back, the rows naming 'a<TAB>b' would split at its tab
+    (tmp_path / "corpus.txt").write_text("a b c\n", encoding="utf-8")
+    basis = tmp_path / "basis.txt"
+    basis.write_text("c\na\tb\n", encoding="utf-8")
+    code, out, err = run(capsys, "build-nouns", "--corpus", str(tmp_path / "corpus.txt"),
+                         "--basis", str(basis), "--out", str(tmp_path / "nouns.tsv"))
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {basis}:2: basis label 'a\\tb' holds a tab\n"
+    assert sorted(os.listdir(tmp_path)) == ["basis.txt", "corpus.txt"]
+
+
 def test_sim_command(benchmark_files, capsys):
     world, paths = benchmark_files
     base_args = (
@@ -509,6 +578,72 @@ def test_malformed_semantics_row_names_path_and_line(toy_world, capsys, case, wh
 def test_sim_and_eval_run_on_the_toy_world(toy_world, capsys):
     assert query(capsys, toy_world, "sim")[0] == 0
     assert query(capsys, toy_world, "eval")[0] == 0
+
+
+# Drawn fields hold no digit, so a weight they replace is a number only as
+# 'inf' or 'nan': a huge finite weight would make every categorical score 1.0
+# and the model degenerate, a failure that is not the file's.
+FIELD_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=6),
+    st.sampled_from(["0", "-0", "2", "-1.5", "7", "toy", "plain", "arg-fluffy", "obj-buys"]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_semantics_file_ends_sim_and_eval_cleanly(toy_world, data):
+    # One line of nouns.tsv or the verb's tensor file loses a tab, has a field
+    # replaced, gains a byte that is not UTF-8 or is repeated.  sim and eval
+    # then succeed, or fail with one line naming that file and leave no --out.
+    which = data.draw(st.sampled_from(["nouns.tsv", "verbs/chase.tsv"]))
+    lines = (toy_world / "sem" / which).read_bytes().splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[k].split(b"\t")
+    fault = data.draw(st.sampled_from(["drop a tab", "replace a field", "not UTF-8", "repeat"]))
+    if fault == "drop a tab":
+        j = data.draw(st.integers(1, len(fields) - 1))
+        lines[k] = b"\t".join([*fields[:j - 1], fields[j - 1] + fields[j], *fields[j + 1:]])
+    elif fault == "replace a field":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(FIELD_TEXT).encode("utf-8")
+        lines[k] = b"\t".join(fields)
+    elif fault == "not UTF-8":
+        cut = data.draw(st.integers(0, len(lines[k])))
+        byte = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("]))
+        lines[k] = lines[k][:cut] + byte + lines[k][cut:]
+    else:
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[k])
+    with tempfile.TemporaryDirectory() as directory:
+        sem = shutil.copytree(toy_world / "sem", os.path.join(directory, "sem"))
+        path = os.path.join(sem, which)
+        with open(path, "wb") as handle:
+            handle.write(b"".join(line + b"\n" for line in lines))
+        named = path
+        if which == "nouns.tsv" and fault != "not UTF-8":
+            # nouns.tsv's header names the run's space: renamed, it is the
+            # tensor file whose header no longer matches
+            with open(path, encoding="utf-8") as handle:
+                header = handle.readline().rstrip("\n").split("\t")
+            if (len(header) == 3 and header[0] == "#space" and header[1]
+                    and header[2] in ("plain", "structured")
+                    and header != ["#space", "toy", "structured"]):
+                named = os.path.join(sem, "verbs", "chase.tsv")
+        report = os.path.join(directory, "report.tsv")
+        common = ["--lexicon", str(toy_world / "lexicon.tsv"),
+                  "--basis", str(toy_world / "basis.txt"), "--semantics-dir", sem]
+        for argv in (["sim", "dogs chase cats", "cats chase dogs", *common],
+                     ["eval", "--dataset", str(toy_world / "dataset.tsv"),
+                      "--model", "categorical", "--out", report, *common]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                continue
+            message = err.getvalue()
+            assert code == 1 and out.getvalue() == ""
+            assert message.count("\n") == 1 and "Traceback" not in message
+            assert message.startswith(f"gramsem: {named}:")
+            assert not os.path.exists(report)
 
 
 DATASET_FAULTS = {

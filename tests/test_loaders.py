@@ -10,9 +10,10 @@ are not finite numbers, bytes that are not UTF-8 and files with several
 faults or no final newline, both give the same result in the same order,
 or the same exception with the same message.
 
-``save_vectors`` writes each word with one call, its rows ordered by a
-precomputed rank of each basis index; it writes the same bytes as the
-writer that sorted each word's ``labelled()`` dict and wrote row by row.
+``save_vectors`` and ``save_tensor`` order their rows by a precomputed rank
+of each basis index and repr each distinct weight once; they write the same
+bytes as the writers that sorted each value's ``labelled()`` dict and wrote
+row by row.
 """
 
 import os
@@ -22,12 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_tensor, oracle_load_vectors, oracle_save_vectors
+from oracles import (
+    oracle_load_tensor,
+    oracle_load_vectors,
+    oracle_save_tensor,
+    oracle_save_vectors,
+)
 from gramsem.vectorspace import (
     BasisRegistry,
+    SemTensor,
     WeightedVector,
     load_tensor,
     load_vectors,
+    save_tensor,
     save_vectors,
 )
 
@@ -192,4 +200,27 @@ def test_save_vectors_equals_the_row_by_row_writer(labels, rows):
             path = os.path.join(directory, f"{k}.tsv")
             kind = outcome(save, path, vectors, space)[0]  # messages may differ
             written.append((kind, open(path, "rb").read() if os.path.exists(path) else None))
+    assert written[0] == written[1]
+
+
+@SETTINGS
+@given(
+    labels=st.permutations(WRITER_LABELS),
+    order=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+)
+def test_save_tensor_equals_the_row_by_row_writer(labels, order, data):
+    # The basis holds every label and the tensor a few entries, so the writer
+    # ranks a subset of the basis, in an order that is not index order.
+    space = BasisRegistry("s", labels)
+    key = st.tuples(*[st.integers(0, len(labels) - 1)] * order)
+    entries = data.draw(st.dictionaries(key, WRITER_WEIGHTS, max_size=12))
+    tensor = SemTensor(space, order, entries)
+    written = []
+    with tempfile.TemporaryDirectory() as directory:
+        for k, save in enumerate((save_tensor, oracle_save_tensor)):
+            path = os.path.join(directory, f"{k}.tsv")
+            save(path, tensor)
+            with open(path, "rb") as handle:
+                written.append(handle.read())
     assert written[0] == written[1]

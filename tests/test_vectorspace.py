@@ -57,6 +57,15 @@ def test_registry_refuses_a_label_starting_with_hash():
     assert BasisRegistry("h", ("a#", "b")).labels == ("a#", "b")
 
 
+def test_registry_refuses_a_tab_or_line_break_in_a_label_or_name():
+    # the file readers split a row at tabs and line breaks, the '#space' header too
+    for bad in ("a\tb", "a\r", "a\nb", "\t"):
+        with pytest.raises(ValueError, match="holds a tab or line break"):
+            BasisRegistry("h", ("c", bad))
+        with pytest.raises(ValueError, match="holds a tab or line break"):
+            BasisRegistry(f"N{bad}", ("c",))
+
+
 def test_structured_labels_checked():
     BasisRegistry("ok", ("arg-fluffy", "subj-chase", "obj-buy"), STRUCTURED)
     for bad in ("fluffy", "-fluffy", "arg-"):
