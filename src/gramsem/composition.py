@@ -25,7 +25,6 @@ from .pregroup import (
 from .vectorspace import (
     BasisRegistry,
     SemTensor,
-    WeightedVector,
     _kept,
     _padded,
     load_tensor,
@@ -77,11 +76,11 @@ class LexicalSemantics(Value):
 
     def __init__(
         self, space: BasisRegistry,
-        vectors: Mapping[str, WeightedVector], tensors: Mapping[str, SemTensor],
+        vectors: Mapping[str, SemTensor], tensors: Mapping[str, SemTensor],
     ):
         for word, v in vectors.items():
-            if v.space != space:
-                raise CompositionError(f"vector for {word!r} is not in space {space.name!r}")
+            if v.space != space or v.order != 1:
+                raise CompositionError(f"{word!r} has no order-1 vector in space {space.name!r}")
         for word, t in tensors.items():
             if t.space != space:
                 raise CompositionError(f"tensor for {word!r} is not in space {space.name!r}")
@@ -89,7 +88,7 @@ class LexicalSemantics(Value):
         object.__setattr__(self, "vectors", dict(vectors))
         object.__setattr__(self, "tensors", dict(tensors))
 
-    def vector(self, word: str) -> WeightedVector:
+    def vector(self, word: str) -> SemTensor:
         try:
             return self.vectors[word]
         except KeyError:
@@ -110,8 +109,8 @@ class LexicalSemantics(Value):
 _SPACE_BY_ORDER = {1: SentenceSpace.N, 2: SentenceSpace.N2, 3: SentenceSpace.N3}
 
 
-def contract(verb: SemTensor, *args: WeightedVector) -> SentenceMeaning:
-    """Apply a verb tensor to its arguments, subject first.
+def contract(verb: SemTensor, *args: SemTensor) -> SentenceMeaning:
+    """Apply a verb tensor to its argument vectors, subject first.
 
     Entry (i, j, ...) = C_ij... * a_i * b_j * ..., multiplied left to right,
     keyed in the arguments' own entry order; the meaning lives in N, N*N or
@@ -119,12 +118,15 @@ def contract(verb: SemTensor, *args: WeightedVector) -> SentenceMeaning:
     """
     _check_composable(verb, len(args), *args)
     *heads, last = args
+    get = verb.entries.get
+    if not heads:
+        entries = {j: c * b for j, b in last.entries.items() if (c := get(j)) is not None}
+        return SentenceMeaning(SemTensor._trusted(verb.space, 1, _kept(entries)), SentenceSpace.N)
     prefixes = [((), ())]  # (key, factors) over the arguments but the last
     for v in heads:
         prefixes = [(key + (i,), factors + (a,)) for key, factors in prefixes
                     for i, a in v.entries.items()]
     ends = [((j,), b) for j, b in last.entries.items()]  # key suffixes, built once
-    get = verb.entries.get
     entries = {}
     for prefix, factors in prefixes:
         for end, b in ends:
@@ -138,40 +140,37 @@ def contract(verb: SemTensor, *args: WeightedVector) -> SentenceMeaning:
     return SentenceMeaning(meaning, _SPACE_BY_ORDER[len(args)])
 
 
-def compose_transitive(
-    subj: WeightedVector, verb: SemTensor, obj: WeightedVector
-) -> SentenceMeaning:
+def compose_transitive(subj: SemTensor, verb: SemTensor, obj: SemTensor) -> SentenceMeaning:
     """Meaning of subject-verb-object: entry (i, j) = C_ij * subj_i * obj_j."""
     return contract(verb, subj, obj)
 
 
-def compose_adjective(adj: SemTensor, noun: WeightedVector) -> WeightedVector:
+def compose_adjective(adj: SemTensor, noun: SemTensor) -> SemTensor:
     """Apply an adjective to a noun vector.
 
     Diagonal (order-1) adjectives filter the noun pointwise; full order-2
     adjectives act as a matrix: result_i = sum_j C_ij * noun_j.
     """
+    if adj.order not in (1, 2):
+        raise CompositionError(f"adjective tensors must have order 1 or 2, got {adj.order}")
+    _check_composable(adj, adj.order, noun)
     if adj.order == 1:
-        _check_composable(adj, 1, noun)
-        return pointwise_mul(noun, adj.to_vector())
-    if adj.order == 2:
-        _check_composable(adj, 2, noun)
-        entries: dict[int, float] = {}
-        for (i, j), c in sorted(adj.entries.items()):
-            a = noun.entries.get(j)
-            if a is not None:
-                entries[i] = entries.get(i, 0.0) + c * a
-        return WeightedVector._trusted(noun.space, _kept(entries))
-    raise CompositionError(f"adjective tensors must have order 1 or 2, got {adj.order}")
+        return pointwise_mul(noun, adj)
+    entries: dict[int, float] = {}
+    for (i, j), c in sorted(adj.entries.items()):
+        a = noun.entries.get(j)
+        if a is not None:
+            entries[i] = entries.get(i, 0.0) + c * a
+    return SemTensor._trusted(noun.space, 1, _kept(entries))
 
 
-def _check_composable(verb: SemTensor, order: int, *vectors: WeightedVector) -> None:
+def _check_composable(verb: SemTensor, order: int, *vectors: SemTensor) -> None:
     if verb.order != order:
         raise CompositionError(f"expected an order-{order} tensor, got order {verb.order}")
     for v in vectors:
-        if v.space != verb.space:
+        if v.space != verb.space or v.order != 1:
             raise CompositionError(
-                f"argument space {v.space.name!r} differs from tensor space {verb.space.name!r}"
+                f"an argument is not a vector in the tensor's space {verb.space.name!r}"
             )
 
 
@@ -293,7 +292,7 @@ def compose_sentence(
         raise CompositionError("cannot compose an empty word sequence")
     verb, phrases = _plan(words, grammar)
 
-    def noun_vector(phrase: list[int]) -> WeightedVector:
+    def noun_vector(phrase: list[int]) -> SemTensor:
         *adjectives, noun = phrase
         vector = lex.vector(words[noun])
         for adjective in reversed(adjectives):
@@ -302,7 +301,7 @@ def compose_sentence(
 
     arguments = [noun_vector(p) for p in phrases]
     if verb is None:
-        return SentenceMeaning(SemTensor.from_vector(arguments[0]), SentenceSpace.N)
+        return SentenceMeaning(arguments[0], SentenceSpace.N)
     return contract(lex.tensor(words[verb], order=len(arguments)), *arguments)
 
 

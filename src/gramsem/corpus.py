@@ -23,7 +23,6 @@ from .vectorspace import (
     STRUCTURED,
     BasisRegistry,
     SemTensor,
-    WeightedVector,
     _is_rel_word,
     _kept,
     _kronecker_sum,
@@ -160,15 +159,15 @@ def count_properties(
     return acc
 
 
-def raw_vectors(acc: CountAccumulator) -> dict[str, WeightedVector]:
+def raw_vectors(acc: CountAccumulator) -> dict[str, SemTensor]:
     """Raw counts as vector weights."""
     return {
-        target: WeightedVector._trusted(acc.space, _kept({i: float(c) for i, c in row.items()}))
+        target: SemTensor._trusted(acc.space, 1, _kept({i: float(c) for i, c in row.items()}))
         for target, row in acc.counts.items()
     }
 
 
-def tfidf(acc: CountAccumulator) -> dict[str, WeightedVector]:
+def tfidf(acc: CountAccumulator) -> dict[str, SemTensor]:
     """TF/IDF weighting: count * ln(doc_count / doc_frequency).
 
     The natural-log variant is used throughout so reported numbers are
@@ -181,15 +180,15 @@ def tfidf(acc: CountAccumulator) -> dict[str, WeightedVector]:
         i: math.log(acc.doc_count / df) if df > 0 else 0.0
         for i, df in acc.doc_frequency.items()
     }
-    out: dict[str, WeightedVector] = {}
+    out: dict[str, SemTensor] = {}
     for target, row in acc.counts.items():
         weights = {i: c * idf.get(i, 0.0) for i, c in row.items()}
-        out[target] = WeightedVector._trusted(acc.space, _kept(weights))
+        out[target] = SemTensor._trusted(acc.space, 1, _kept(weights))
     return out
 
 
 def build_verb_tensor(
-    occurrences: Sequence[tuple[WeightedVector, WeightedVector]],
+    occurrences: Sequence[tuple[SemTensor, SemTensor]],
     *,
     space: BasisRegistry | None = None,
 ) -> SemTensor:
@@ -198,7 +197,7 @@ def build_verb_tensor(
 
 
 def build_ditransitive_tensor(
-    occurrences: Sequence[tuple[WeightedVector, WeightedVector, WeightedVector]],
+    occurrences: Sequence[tuple[SemTensor, SemTensor, SemTensor]],
     *,
     space: BasisRegistry | None = None,
 ) -> SemTensor:
@@ -207,14 +206,14 @@ def build_ditransitive_tensor(
 
 
 def build_intransitive_tensor(
-    subjects: Sequence[WeightedVector], *, space: BasisRegistry | None = None
+    subjects: Sequence[SemTensor], *, space: BasisRegistry | None = None
 ) -> SemTensor:
     """Intransitive verb weights: the order-1 sum of its subject vectors."""
     return _kronecker_sum(1, subjects, space)
 
 
 def build_adjective_tensor(
-    arguments: Sequence[WeightedVector], *, space: BasisRegistry | None = None
+    arguments: Sequence[SemTensor], *, space: BasisRegistry | None = None
 ) -> SemTensor:
     """Adjective weights in diagonal form: the order-1 sum of argument vectors."""
     return _kronecker_sum(1, arguments, space)

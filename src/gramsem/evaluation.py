@@ -24,7 +24,7 @@ from ._value import Value
 from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compose_sentence
 from .errors import CompositionError, DatasetError, DegenerateDataError
 from .pregroup import SENTENCE, Lexicon
-from .vectorspace import WeightedVector, add, cosine, pointwise_mul, scale
+from .vectorspace import SemTensor, add, cosine, pointwise_mul, scale
 from .vectorspace import _breaks_line, _read_records, _write_lines
 
 MODELS = ("categorical", "add", "multiply", "weighted_add", "verb_baseline")
@@ -111,7 +111,7 @@ def _folded(
     alpha: float,
     beta: float,
     memo: dict,
-) -> WeightedVector:
+) -> SemTensor:
     """The add/multiply/weighted fold of a sentence's word vectors.  A word that
     is not a noun contributes its order-1 tensor, else its plain vector."""
     key = ("fold", combine, words, alpha, beta)
@@ -122,7 +122,7 @@ def _folded(
     for word, role in _word_roles(words, grammar):
         tensor = lex.tensors.get(word)
         if role != "noun" and tensor is not None and tensor.order == 1:
-            v = tensor.to_vector()
+            v = tensor
         else:
             v = lex.vector(word)
         if combine == "weighted_add":

@@ -105,64 +105,13 @@ def _kept(entries: dict) -> dict:
     return _nonzero(entries)
 
 
-class WeightedVector(Value):
-    """Sparse map basis-index -> weight, bound to one space.
-
-    Treat instances as immutable values; build modified copies through the
-    module-level operations instead of mutating ``entries``.
-    """
-
-    _fields = ("space", "entries")
-
-    def __init__(self, space: BasisRegistry, entries: Mapping[int, float]):
-        clean: dict[int, float] = {}
-        for i, w in entries.items():
-            i = _as_index(i, space)
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"non-finite weight {w!r} at index {i}")
-            if w != 0.0:
-                clean[i] = w
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", clean)
-
-    @classmethod
-    def _trusted(cls, space: BasisRegistry, entries: dict[int, float]) -> "WeightedVector":
-        """Wrap a dict the library just built, keyed by indices valid in
-        ``space``, with finite nonzero float weights; nothing is re-checked,
-        so it never takes a mapping from a caller.  Set one by one, the
-        attributes leave the instance dict unbuilt: ~150 bytes less (CPython 3.11)."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "space", space)
-        object.__setattr__(v, "entries", entries)
-        return v
-
-    @classmethod
-    def basis_vector(cls, space: BasisRegistry, label: str) -> "WeightedVector":
-        return cls(space, {space.index(label): 1.0})
-
-    def get(self, i: int) -> float:
-        return self.entries.get(i, 0.0)
-
-    def weight(self, label: str) -> float:
-        return self.entries.get(self.space.index(label), 0.0)
-
-    def labelled(self) -> dict[str, float]:
-        return {self.space.label(i): w for i, w in sorted(self.entries.items())}
-
-    def to_dense(self) -> np.ndarray:
-        return SemTensor.from_vector(self).to_dense()
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
 class SemTensor(Value):
     """Sparse order-1/2/3 tensor over a space, stored as coordinate entries.
 
-    Order-2 tensors hold transitive-verb (and general adjective) weights,
-    order-3 ditransitive weights, order-1 the diagonal form used for
-    intransitive verbs and adjectives.
+    Order 1 is a vector: a word's meaning, or the diagonal form used for
+    intransitive verbs and adjectives, keyed by basis index (the constructor
+    takes 1-tuples).  Order-2 tensors hold transitive-verb (and general
+    adjective) weights, order-3 ditransitive weights, keyed by index tuples.
     """
 
     _fields = ("space", "order", "entries")
@@ -170,39 +119,31 @@ class SemTensor(Value):
     def __init__(self, space: BasisRegistry, order: int, entries: Mapping[tuple[int, ...], float]):
         if order not in (1, 2, 3):
             raise ValueError(f"tensor order must be 1, 2 or 3, got {order}")
-        clean: dict[tuple[int, ...], float] = {}
+        clean = {}
         for key, w in entries.items():
             key = tuple(_as_index(i, space) for i in key)
             if len(key) != order:
                 raise ValueError(f"index tuple {key} does not match order {order}")
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"non-finite weight {w!r} at {key}")
-            if w != 0.0:
-                clean[key] = w
+            clean[key[0] if order == 1 else key] = float(w)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", _kept(clean))
 
     @classmethod
     def _trusted(cls, space: BasisRegistry, order: int, entries: dict) -> "SemTensor":
-        """As ``WeightedVector._trusted``, keys being ``order``-tuples of indices."""
+        """Wrap a dict the library just built, keyed by indices valid in ``space``
+        (bare at order 1), with finite nonzero float weights; nothing is
+        re-checked, so it never takes a mapping from a caller.  Set one by one,
+        the attributes leave the instance dict unbuilt: ~150 bytes less (CPython 3.11)."""
         t = object.__new__(cls)
-        t.__dict__.update(space=space, order=order, entries=entries)
+        object.__setattr__(t, "space", space)
+        object.__setattr__(t, "order", order)
+        object.__setattr__(t, "entries", entries)
         return t
 
-    @classmethod
-    def from_vector(cls, v: WeightedVector) -> "SemTensor":
-        """View a vector as an order-1 tensor over the same space."""
-        return cls._trusted(v.space, 1, {(i,): w for i, w in v.entries.items()})
-
-    def get(self, key: tuple[int, ...]) -> float:
-        return self.entries.get(tuple(key), 0.0)
-
-    def to_vector(self) -> WeightedVector:
-        if self.order != 1:
-            raise ValueError("only order-1 tensors convert to vectors")
-        return WeightedVector._trusted(self.space, {k[0]: w for k, w in self.entries.items()})
+    def get(self, key) -> float:
+        """The weight at ``key``: a basis index at order 1, an index tuple above."""
+        return self.entries.get(operator.index(key) if self.order == 1 else tuple(key), 0.0)
 
     def to_dense(self) -> np.ndarray:
         try:
@@ -215,39 +156,43 @@ class SemTensor(Value):
             out[key] = w
         return out
 
-    def labelled(self) -> dict[tuple[str, ...], float]:
-        return {
-            tuple(self.space.label(i) for i in key): w
-            for key, w in sorted(self.entries.items())
-        }
+    def labelled(self) -> dict[str | tuple[str, ...], float]:
+        label = self.space.labels.__getitem__
+        if self.order == 1:
+            return {label(i): w for i, w in sorted(self.entries.items())}
+        return {tuple(map(label, key)): w for key, w in sorted(self.entries.items())}
 
     def is_zero(self) -> bool:
         return not self.entries
 
 
-Sparse = WeightedVector | SemTensor
+class WeightedVector:
+    """Not a class of its own: builds a vector, an order-1 ``SemTensor``, from
+    entries keyed by basis index."""
+
+    def __new__(cls, space: BasisRegistry, entries: Mapping[int, float]) -> SemTensor:
+        return SemTensor(space, 1, {(i,): w for i, w in entries.items()})
+
+    @staticmethod
+    def basis_vector(space: BasisRegistry, label: str) -> SemTensor:
+        return SemTensor._trusted(space, 1, {space.index(label): 1.0})
 
 
-def _check_same_space(a: Sparse, b: Sparse) -> None:
+def _check_same_space(a: SemTensor, b: SemTensor) -> None:
     if a.space != b.space:
         raise SpaceMismatchError(
             f"operands live in different spaces: {a.space.name!r} vs {b.space.name!r}"
         )
-    a_order = a.order if isinstance(a, SemTensor) else None
-    b_order = b.order if isinstance(b, SemTensor) else None
-    if a_order != b_order:
-        raise SpaceMismatchError(f"operand orders differ: {a_order} vs {b_order}")
+    if a.order != b.order:
+        raise SpaceMismatchError(f"operand orders differ: {a.order} vs {b.order}")
 
 
-def _like(v: Sparse, entries: dict) -> Sparse:
-    """A value of ``v``'s type, space and order holding freshly computed ``entries``."""
-    entries = _kept(entries)
-    if isinstance(v, SemTensor):
-        return SemTensor._trusted(v.space, v.order, entries)
-    return WeightedVector._trusted(v.space, entries)
+def _like(v: SemTensor, entries: dict) -> SemTensor:
+    """A tensor of ``v``'s space and order holding freshly computed ``entries``."""
+    return SemTensor._trusted(v.space, v.order, _kept(entries))
 
 
-def add(v: Sparse, w: Sparse) -> Sparse:
+def add(v: SemTensor, w: SemTensor) -> SemTensor:
     """Component-wise sum of two vectors, or tensors of equal order, in one space."""
     _check_same_space(v, w)
     total = dict(v.entries)
@@ -256,20 +201,20 @@ def add(v: Sparse, w: Sparse) -> Sparse:
     return _like(v, total)
 
 
-def pointwise_mul(v: Sparse, w: Sparse) -> Sparse:
+def pointwise_mul(v: SemTensor, w: SemTensor) -> SemTensor:
     """Component-wise product; only indices present in both survive."""
     _check_same_space(v, w)
     small, big = (v.entries, w.entries) if len(v.entries) <= len(w.entries) else (w.entries, v.entries)
     return _like(v, {i: a * big[i] for i, a in small.items() if i in big})
 
 
-def scale(v: Sparse, factor: float) -> Sparse:
+def scale(v: SemTensor, factor: float) -> SemTensor:
     """Multiply every weight by ``factor``."""
     factor = float(factor)
     return _like(v, {k: w * factor for k, w in v.entries.items()})
 
 
-def inner(v: Sparse, w: Sparse) -> float:
+def inner(v: SemTensor, w: SemTensor) -> float:
     """Sum of products over shared coordinates (the cup contraction).
 
     Iterates shared keys in sorted order so the result is deterministic and
@@ -280,7 +225,7 @@ def inner(v: Sparse, w: Sparse) -> float:
     return sum(v.entries[k] * w.entries[k] for k in sorted(common))
 
 
-def norm(v: Sparse) -> float:
+def norm(v: SemTensor) -> float:
     """Euclidean length sqrt(<v, v>), computed once per value and kept with it."""
     length = v.__dict__.get("_norm")
     if length is None:
@@ -297,14 +242,15 @@ def _padded(t: SemTensor, order: int) -> SemTensor:
     items = sorted(t.entries.items())
     entries: dict[tuple[int, ...], float] = {}
     for key, w in items:
-        entries.update(zip(product(*[(i,) for i in key], *axes), repeat(w)))
+        head = [(key,)] if t.order == 1 else [(i,) for i in key]
+        entries.update(zip(product(*head, *axes), repeat(w)))
     padded = SemTensor._trusted(t.space, order, entries)
     squares = chain.from_iterable(repeat(w * w, d**m) for _, w in items)
     padded.__dict__["_norm"] = math.sqrt(sum(squares))
     return padded
 
 
-def cosine(v: Sparse, w: Sparse) -> float:
+def cosine(v: SemTensor, w: SemTensor) -> float:
     """Inner product normalized by the lengths, in [-1, 1].
 
     Tensors of equal order over the same space are compared through their
@@ -345,15 +291,19 @@ def _kronecker_sum(
         space = (occurrences[0] if order == 1 else occurrences[0][0]).space
     if space is None:
         raise ValueError("an empty occurrence list needs an explicit space")
-    total: dict[tuple[int, ...], float] = {}
+    total: dict = {}
     get = total.get
     for occurrence in occurrences:
         vectors = (occurrence,) if order == 1 else occurrence
         if len(vectors) != order or any(
-            not isinstance(v, WeightedVector) or v.space != space for v in vectors
+            not isinstance(v, SemTensor) or v.order != 1 or v.space != space for v in vectors
         ):
             raise SpaceMismatchError(f"an occurrence is not {order} vectors over {space.name!r}")
         *heads, last = vectors
+        if not heads:
+            for i, a in sorted(last.entries.items()):
+                total[i] = get(i, 0.0) + a
+            continue
         terms = [((), 1.0)]  # (key, product) over the vectors but the last
         for v in heads:
             factors = [((i,), a) for i, a in sorted(v.entries.items())]
@@ -366,7 +316,7 @@ def _kronecker_sum(
     return SemTensor._trusted(space, order, _kept(total))
 
 
-def kronecker(*vectors: WeightedVector) -> SemTensor:
+def kronecker(*vectors: SemTensor) -> SemTensor:
     """Tensor product of two or three vectors: entry (i, j, ...) = u_i * v_j * ..."""
     if len(vectors) not in (2, 3):
         raise ValueError(f"kronecker takes two or three vectors, got {len(vectors)}")
@@ -382,17 +332,24 @@ def kronecker(*vectors: WeightedVector) -> SemTensor:
 # ---------------------------------------------------------------------------
 
 
+# os.umask reads the mask only by setting it, for the whole process: read it once.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 @contextmanager
 def atomic_write(path: str | os.PathLike) -> Iterator:
-    """Write to a temp file and rename into place; no partial file on failure."""
+    """Write to a temp file and rename into place; no partial file on failure.
+    The file gets the mode ``open`` gives a new file, 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"output directory {directory} does not exist")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")  # mode 0600
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -518,7 +475,7 @@ def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, en
     for label in labels:
         if label not in space:
             raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
-    key = tuple(map(space.index, labels))
+    key = space.index(labels[0]) if order == 1 else tuple(map(space.index, labels))
     if key in entries:
         raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
     entries[key] = _weight(text, path, lineno)
@@ -555,16 +512,15 @@ def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], va
 
 
 def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
-    entries = t.to_vector().entries if t.order == 1 else t.entries
-    used = set(chain.from_iterable(t.entries))
-    _write_rows(path, t.space, f"#order\t{t.order}\n", used, [("", entries, t.order)])
+    used = set(t.entries) if t.order == 1 else set(chain.from_iterable(t.entries))
+    _write_rows(path, t.space, f"#order\t{t.order}\n", used, [("", t.entries, t.order)])
 
 
 def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
     """Read a tensor file, checking each row once.  The order is the '#order'
     line's, else the first row's; a later '#order' line must agree."""
     index = space._index
-    entries: dict[tuple[int, ...], float] = {}
+    entries: dict = {}
     order = None
     with open_text(path) as handle:
         _check_header(handle, path, space)
@@ -575,7 +531,7 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
                     key = (index[a], index[b])
                 elif order == 1:
                     a, text = line.split("\t")
-                    key = (index[a],)
+                    key = index[a]
                 elif order == 3:
                     a, b, c, text = line.split("\t")
                     key = (index[a], index[b], index[c])
@@ -595,22 +551,23 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
 
 
 def save_vectors(
-    path: str | os.PathLike, vectors: Mapping[str, WeightedVector], space: BasisRegistry
+    path: str | os.PathLike, vectors: Mapping[str, SemTensor], space: BasisRegistry
 ) -> None:
     """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``
     in label order.  A word starting with '#' (its rows would read as
-    comments) or holding a tab or line break is refused before any file is written."""
+    comments) or holding a tab or line break, or a value that is not a vector
+    over ``space``, is refused before any file is written."""
     words = sorted(vectors)
     for word in words:
         if word[:1] == "#" or _breaks_line(word):
             raise ValueError(f"word {word!r} starts with '#' or holds a tab or line break")
-        if vectors[word].space != space:
-            raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
+        if vectors[word].space != space or vectors[word].order != 1:
+            raise SpaceMismatchError(f"{word!r} is not an order-1 tensor over {space.name!r}")
     values = ((f"{word}\t", vectors[word].entries, 1) for word in words)
     _write_rows(path, space, "", range(len(space)), values)
 
 
-def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:
+def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, SemTensor]:
     """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
     index = space._index
     weights: dict[str, dict[int, float]] = {}
@@ -634,4 +591,4 @@ def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, Wei
                 _check_collection_line(path, lineno, line, space, weights)
                 continue
             per_word[i] = w
-    return {word: WeightedVector._trusted(space, _nonzero(ws)) for word, ws in weights.items()}
+    return {word: SemTensor._trusted(space, 1, _nonzero(ws)) for word, ws in weights.items()}

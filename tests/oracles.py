@@ -26,7 +26,6 @@ from gramsem.errors import FileFormatError, SpaceMismatchError, UnknownLabelErro
 from gramsem.vectorspace import (
     BasisRegistry,
     SemTensor,
-    WeightedVector,
     atomic_write,
     open_text,
 )
@@ -92,6 +91,12 @@ def oracle_spearman(xs, ys):
     return cov / math.sqrt(vx * vy)
 
 
+def keyed_by_tuples(t):
+    """``t``'s entries keyed by index tuples at every order, as the validating
+    constructor takes them: order 1 stores bare indices."""
+    return t.entries if t.order > 1 else {(i,): w for i, w in t.entries.items()}
+
+
 # --- Kronecker sums by their definition ----------------------------------------
 
 
@@ -114,8 +119,8 @@ def oracle_kronecker_sum(order, occurrences, space):
     total = SemTensor(space, order, {})
     for occurrence in occurrences:
         vectors = (occurrence,) if order == 1 else occurrence
-        merged = dict(total.entries)
-        for key, w in oracle_kronecker(vectors, space).entries.items():
+        merged = dict(keyed_by_tuples(total))
+        for key, w in keyed_by_tuples(oracle_kronecker(vectors, space)).items():
             merged[key] = merged.get(key, 0.0) + w
         total = SemTensor(space, order, merged)
     return total
@@ -128,11 +133,11 @@ def oracle_contract(verb, *args):
     """Every combination of argument entries, each argument in its own
     order: the tensor entry at their indices times their weights, left to
     right, through the validating constructor."""
-    entries = {}
+    entries, weights = {}, keyed_by_tuples(verb)
     for combo in itertools.product(*(v.entries.items() for v in args)):
         key = tuple(i for i, _ in combo)
-        if key in verb.entries:
-            w = verb.entries[key]
+        if key in weights:
+            w = weights[key]
             for _, a in combo:
                 w = w * a
             entries[key] = w
@@ -148,7 +153,7 @@ def oracle_pad(t, order):
     validating constructor; and its norm, the squares summed in sorted key
     order."""
     axes = list(itertools.product(range(len(t.space)), repeat=order - t.order))
-    entries = {key + rest: w for key, w in sorted(t.entries.items()) for rest in axes}
+    entries = {key + rest: w for key, w in sorted(keyed_by_tuples(t).items()) for rest in axes}
     padded = SemTensor(t.space, order, entries)
     return padded, math.sqrt(sum(w * w for _, w in sorted(padded.entries.items())))
 
@@ -247,10 +252,10 @@ def oracle_load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTens
         raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
     if zero:
         entries = {k: w for k, w in entries.items() if w}
-    return SemTensor._trusted(space, order, entries)
+    return SemTensor(space, order, entries)  # order 1 keeps each key's one index
 
 
-def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, WeightedVector]:
+def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, SemTensor]:
     """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
     index = space._index
     weights: dict[str, dict[int, float]] = {}
@@ -275,7 +280,7 @@ def oracle_load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[s
             zero = True
     if zero:
         weights = {word: {i: w for i, w in ws.items() if w} for word, ws in weights.items()}
-    return {word: WeightedVector._trusted(space, ws) for word, ws in weights.items()}
+    return {word: SemTensor._trusted(space, 1, ws) for word, ws in weights.items()}
 
 
 # --- the row-by-row writers -------------------------------------------------
@@ -293,11 +298,11 @@ def oracle_save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
         _write_header(handle, t.space)
         handle.write(f"#order\t{t.order}\n")
         for labels, w in sorted(t.labelled().items()):
-            handle.write("\t".join(labels) + f"\t{w!r}\n")
+            handle.write("\t".join((labels,) if t.order == 1 else labels) + f"\t{w!r}\n")
 
 
 def oracle_save_vectors(
-    path: str | os.PathLike, vectors: dict[str, WeightedVector], space: BasisRegistry
+    path: str | os.PathLike, vectors: dict[str, SemTensor], space: BasisRegistry
 ) -> None:
     """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``.
     A word starting with '#' is refused: its rows would read as comments."""

@@ -78,7 +78,7 @@ def test_build_nouns_tfidf_and_determinism(tiny_world, capsys):
     space = read_basis(tiny_world / "basis.txt", name="N")
     vectors = load_vectors(out_path, space)
     # red and naps each occur in 2 of 3 documents
-    assert vectors["dog"].weight("red") == pytest.approx(math.log(3 / 2), rel=1e-12)
+    assert vectors["dog"].get(space.index("red")) == pytest.approx(math.log(3 / 2), rel=1e-12)
 
 
 def test_build_nouns_errors(tiny_world, capsys):
@@ -183,7 +183,7 @@ def test_build_verb_other_arities(sample_world, capsys):
     assert glow.order == 1
     for i in range(4):
         expected = SAMPLE_NOUNS["map"][i] + SAMPLE_NOUNS["result"][i]
-        assert glow.get((i,)) == expected
+        assert glow.get(i) == expected
     code, _, err = run(capsys, "build-verb", "hand", *base_args)
     assert code == 0
     hand = load_tensor(sample_world / "sem" / "verbs" / "hand.tsv", SAMPLE_SPACE)
@@ -210,7 +210,7 @@ def test_build_adj(sample_world, capsys):
     merged = {
         i: SAMPLE_NOUNS["table"][i] + SAMPLE_NOUNS["map"][i] for i in range(4)
     }
-    assert tensor.entries == {(i,): w for i, w in merged.items() if w}
+    assert tensor.entries == {i: w for i, w in merged.items() if w}
     code, _, err = run(
         capsys,
         "build-adj", "tiny",
@@ -320,6 +320,66 @@ def test_build_verb_and_build_adj_write_the_pinned_bytes(benchmark_files, tmp_pa
     else:
         assert main(["build-verb", word, "--triples", paths["triples"], *common]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# A hand-made world with a verb of each arity, an adjective and a noun that
+# also modifies nouns ("stone"), counted with --weighting raw so that no
+# libm log is involved: the digests do not depend on the platform.
+ORDERS_FILES = {
+    "corpus.txt": "old dog runs fast\nred cat naps\nbig man throws ball\ndog chases cat fast\n"
+                  "man gives old bone fast\nstone wall old\nred ball big\ncat runs old\n"
+                  "man chases big dog\nstone ball red\n",
+    "basis.txt": "red\nbig\nold\nfast\nnaps\nruns\n",
+    "triples.tsv": "dog\truns\ncat\truns\nman\truns\ndog\tchases\tcat\nman\tchases\tdog\n"
+                   "cat\tchases\tball\nman\tgives\tdog\tbone\nman\tgives\tcat\tball\n",
+    "adjectives.tsv": "big\tman\nbig\tball\nbig\tdog\nstone\twall\nstone\tball\n",
+    "lexicon.tsv": "dog\tn\ncat\tn\nman\tn\nball\tn\nbone\tn\nwall\tn\nstone\tn\n"
+                   "stone\tn n^l\nbig\tn n^l\nruns\tn^r s\nchases\tn^r s n^l\n"
+                   "gives\tn^r s n^l n^l\n",
+    "dataset.tsv": "p1\tdog runs\tcat runs\t6\tHIGH\n"
+                   "p2\tbig dog runs\tdog chases cat\t3\tLOW\n"
+                   "p3\tman chases dog\tman gives dog bone\t5\tHIGH\n"
+                   "p4\tman gives dog stone ball\tbig man runs\t2\tLOW\n"
+                   "p5\tcat chases stone ball\tcat chases big ball\t7\tHIGH\n"
+                   "p6\tstone wall runs\tbig cat runs\t1\tLOW\n",
+}
+
+ORDERS_DIGESTS = {
+    "nouns.tsv": "8296e28cd7b0ade6d35aef19cee3dded7a1b0fa0d85b8e21c8d212678cd3d6ab",
+    "verbs/runs.tsv": "c800b7b839e1586d41f1717ae11b535c1ed814351b2a26d02d58ac1c3fd65f46",
+    "verbs/chases.tsv": "c5bb11b4b312c030b5afd12b3454da3b97ff012dacff3a44b46735d7481d28a1",
+    "verbs/gives.tsv": "47517b3c35713439bca51de4a7e0c080fdca155d51db4e9254e641ef70e946e9",
+    "adjectives/big.tsv": "d837e1c91a2fc1f3e21ce44d461d12ad741dae9bc8b6c13b4a8b1a1f1805a433",
+    "adjectives/stone.tsv": "726b41aa77e53e31e036a433430ae9546d86fa318d6d35739062668f7f2aa520",
+    "report.tsv": "07b1d13a237d82bdcb0d480d4b28f43a1bb1d22d696b1f2afaa63f1496ee1f67",
+    "sim": "5ee5e38b1c86b602e195dac1f5169b7b746c2978f8b36f5dcb507c28e83e5494",
+}
+
+
+def test_every_order_writes_and_scores_the_pinned_bytes(tmp_path, capsys):
+    # Orders 1-3 end to end: the tensor files, eval's report over all five
+    # models, and a sim that pads an order-1 meaning to order 3.
+    for name, text in ORDERS_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    files = {name: str(tmp_path / name) for name in ORDERS_FILES}
+    sem = tmp_path / "sem"
+    sem.mkdir()
+    common = ["--basis", files["basis.txt"], "--semantics-dir", str(sem)]
+    assert main(["build-nouns", "--corpus", files["corpus.txt"], "--basis", files["basis.txt"],
+                 "--weighting", "raw", "--window", "2", "--out", str(sem / "nouns.tsv")]) == 0
+    for verb in ("runs", "chases", "gives"):
+        assert main(["build-verb", verb, "--triples", files["triples.tsv"], *common]) == 0
+    for adjective in ("big", "stone"):
+        assert main(["build-adj", adjective, "--triples", files["adjectives.tsv"], *common]) == 0
+    query = ["--lexicon", files["lexicon.tsv"], *common]
+    assert main(["eval", "--dataset", files["dataset.tsv"], *query,
+                 "--out", str(sem / "report.tsv")]) == 0
+    capsys.readouterr()
+    assert main(["sim", "big dog runs", "man gives dog stone ball", *query]) == 0
+    got = {name: hashlib.sha256((sem / name).read_bytes()).hexdigest()
+           for name in ORDERS_DIGESTS if name != "sim"}
+    got["sim"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == ORDERS_DIGESTS
 
 
 # Documents of 14 to 16 tokens, longer than 2 * window + 1 at --window 5, so
@@ -976,6 +1036,68 @@ def test_malformed_record_line_names_path_and_line(benchmark_files, data):
         assert message.count("\n") == 1 and "Traceback" not in message
         assert message.startswith(f"gramsem: {path}:{lineno}: ")
         assert os.listdir(directory) == [f"{kind}.tsv"]
+
+
+# Text a mutation puts into a line: a field, a type, a separator or a word.
+MUTATION_TEXT = st.one_of(
+    FIELD_TEXT,
+    st.sampled_from(["n", "s", "n^r s n^l", "n^l", "n^rr", "x^", "#", "\t", " ", "knight"]),
+)
+
+
+def mutated(draw, lines: list[bytes]) -> bytes:
+    """``lines`` with one line mutated: a byte cut, text inserted, the line
+    replaced, repeated or dropped, or a byte that is not UTF-8 inserted."""
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    at = draw(st.integers(0, len(line)))
+    fault = draw(st.sampled_from(["cut", "insert", "replace", "repeat", "drop", "not UTF-8"]))
+    if fault == "cut":
+        lines[k] = line[:at] + line[at + 1:]
+    elif fault == "insert":
+        lines[k] = line[:at] + draw(MUTATION_TEXT).encode("utf-8") + line[at:]
+    elif fault == "replace":
+        lines[k] = draw(MUTATION_TEXT).encode("utf-8")
+    elif fault == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    elif fault == "drop":
+        del lines[k]
+    else:
+        lines[k] = line[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + line[at:]
+    return b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_mutated_lexicon_basis_or_corpus_ends_cleanly(benchmark_files, data):
+    # The README session's lexicon and basis under sim, its corpus under
+    # build-nouns: each run succeeds, or fails with one line and writes nothing.
+    _, paths = benchmark_files
+    kind = data.draw(st.sampled_from(["lexicon", "basis", "corpus"]))
+    with open(paths[kind], "rb") as handle:
+        text = mutated(data.draw, handle.read().splitlines())
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, os.path.basename(paths[kind]))
+        with open(path, "wb") as handle:
+            handle.write(text)
+        files = {**paths, kind: path}
+        if kind == "corpus":
+            argv = ["build-nouns", "--corpus", path, "--basis", files["basis"], "--weighting",
+                    "raw", "--window", "2", "--out", os.path.join(directory, "nouns.tsv")]
+        else:
+            argv = ["sim", "knight charge enemy", "knight storm enemy", "--lexicon",
+                    files["lexicon"], "--basis", files["basis"],
+                    "--semantics-dir", paths["semantics"]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        assert "Traceback" not in message
+        if code == 0:
+            return
+        assert code == 1 and out.getvalue() == ""
+        assert message.count("\n") == 1 and message.startswith("gramsem: ")
+        assert os.listdir(directory) == [os.path.basename(path)]
 
 
 def test_duplicate_basis_label_names_both_lines(benchmark_files, tmp_path, capsys):

@@ -235,9 +235,9 @@ def test_build_intransitive_and_adjective():
     v1 = WeightedVector(space, {0: 1.0, 1: 2.0})
     v2 = WeightedVector(space, {0: 3.0, 1: 4.0})
     t = build_intransitive_tensor([v1, v2])
-    assert t.entries == {(0,): 4.0, (1,): 6.0}
+    assert t.entries == {0: 4.0, 1: 6.0}
     assert build_intransitive_tensor([], space=space).is_zero()
-    assert build_intransitive_tensor([v1]).to_vector() == v1
+    assert build_intransitive_tensor([v1]) == v1
     assert build_adjective_tensor([v1, v2]).entries == t.entries
     assert build_adjective_tensor([], space=space).is_zero()
 

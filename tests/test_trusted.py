@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_kronecker, oracle_kronecker_sum
+from oracles import keyed_by_tuples, oracle_kronecker, oracle_kronecker_sum
 from gramsem.composition import (
     SentenceMeaning,
     compose_adjective,
@@ -76,11 +76,7 @@ def assert_valid(value):
     """Equal to the validating constructor's value for the same entries."""
     if isinstance(value, SentenceMeaning):
         value = value.value
-    if isinstance(value, SemTensor):
-        again = SemTensor(value.space, value.order, value.entries)
-    else:
-        again = WeightedVector(value.space, value.entries)
-    assert value == again
+    assert value == SemTensor(value.space, value.order, keyed_by_tuples(value))
     assert all(type(w) is float for w in value.entries.values())
 
 
@@ -113,7 +109,7 @@ def test_builders_sum_in_occurrence_order():
     space = SPACES[0]
     occ = [WeightedVector(space, {0: w}) for w in (1.0, 1e16, -1e16)]
     assert build_intransitive_tensor(occ).is_zero()
-    assert build_intransitive_tensor(occ[::-1]).entries == {(0,): 1.0}
+    assert build_intransitive_tensor(occ[::-1]).entries == {0: 1.0}
     one = WeightedVector(space, {0: 1.0})
     for order, build in ((2, build_verb_tensor), (3, build_ditransitive_tensor)):
         occurrences = [(v,) + (one,) * (order - 1) for v in occ]
@@ -145,8 +141,6 @@ def test_operation_results_equal_validated_values(data, space):
         scale(u, factor),
         kronecker(u, v),
         kronecker(u, v, w),
-        SemTensor.from_vector(u),
-        SemTensor.from_vector(u).to_vector(),
         compose_adjective(diagonal, u),
         compose_adjective(matrix, u),
         *meanings,
@@ -165,10 +159,10 @@ def test_files_round_trip(data, space, order):
     collection = {word: vector(data.draw, space) for word in ("x", "y")}
     with tempfile.TemporaryDirectory() as directory:
         paths = [os.path.join(directory, name) for name in ("v.tsv", "t.tsv", "c.tsv")]
-        save_tensor(paths[0], SemTensor.from_vector(u))
+        save_tensor(paths[0], u)
         save_tensor(paths[1], t)
         save_vectors(paths[2], collection, space)
-        loaded = [load_tensor(paths[0], space).to_vector(), load_tensor(paths[1], space),
+        loaded = [load_tensor(paths[0], space), load_tensor(paths[1], space),
                   load_vectors(paths[2], space)]
     # a zero vector has no rows, so a collection keeps only nonzero ones
     kept = {word: v for word, v in collection.items() if not v.is_zero()}

@@ -24,9 +24,9 @@ NR_REPR = "AtomicType(base='n', adjoint_order=1)"
 S_REPR = "AtomicType(base='s', adjoint_order=0)"
 NOUN = PregroupType((N,))
 VECTOR = WeightedVector(SPACE, {0: 1.0})
-VECTOR_REPR = f"WeightedVector(space={SPACE_REPR}, entries={{0: 1.0}})"
+VECTOR_REPR = f"SemTensor(space={SPACE_REPR}, order=1, entries={{0: 1.0}})"
 DIAGONAL = SemTensor(SPACE, 1, {(1,): 2.0})
-DIAGONAL_REPR = f"SemTensor(space={SPACE_REPR}, order=1, entries={{(1,): 2.0}})"
+DIAGONAL_REPR = f"SemTensor(space={SPACE_REPR}, order=1, entries={{1: 2.0}})"
 SCORE = ModelScore(0.5, 0.25, 0.1)
 SCORE_REPR = "ModelScore(mean_high=0.5, mean_low=0.25, rho=0.1)"
 PAIR = SentencePair("p1", ("dog", "run"), ("cat", "run"), 7.0, "HIGH")
@@ -238,10 +238,11 @@ def test_a_value_equals_no_other_class(name):
     assert value != fields and not value == fields
     assert fields != value and not fields == value
 
-    class Sub(case.cls):
+    class Sub(value.__class__):  # WeightedVector builds a SemTensor
         pass
 
-    same_fields = Sub(**case.kwargs)
+    same_fields = object.__new__(Sub)  # the same state, under a subclass
+    same_fields.__dict__.update(value.__dict__)
     assert field_values(same_fields, case) == fields
     assert value != same_fields and not value == same_fields
     assert same_fields != value and not same_fields == value

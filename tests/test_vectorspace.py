@@ -1,10 +1,16 @@
 """Unit tests for the sparse vector/tensor algebra against dense oracles."""
 
+import os
+import stat
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gramsem
 from gramsem.errors import FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
     PLAIN,
@@ -82,7 +88,7 @@ def test_vector_drops_zeros_and_checks():
     v = WeightedVector(SPACE3, {0: 1.0, 1: 0.0, 2: -2.5})
     assert v.entries == {0: 1.0, 2: -2.5}
     assert v.get(1) == 0.0
-    assert v.weight("c") == -2.5
+    assert v.get(SPACE3.index("c")) == -2.5
     with pytest.raises(ValueError):
         WeightedVector(SPACE3, {5: 1.0})
     with pytest.raises(ValueError):
@@ -121,7 +127,7 @@ def test_from_labels_and_round_trips():
     t = SemTensor(SPACE2, 2, {(SPACE2.index("a"), SPACE2.index("b")): 4.0})
     assert t.labelled() == {("a", "b"): 4.0}
     one = SemTensor(SPACE2, 1, {(SPACE2.index("a"),): 2.0})
-    assert one.to_vector().labelled() == {"a": 2.0}
+    assert one.labelled() == {"a": 2.0}
     e = WeightedVector.basis_vector(SPACE3, "b")
     assert e.to_dense().tolist() == [0.0, 1.0, 0.0]
 
@@ -237,7 +243,7 @@ def test_space_and_order_mismatches():
     with pytest.raises(SpaceMismatchError):
         add(vec(SPACE2, 1, 2), vec(SPACE3, 1, 2, 3))
     with pytest.raises(SpaceMismatchError):
-        inner(vec(SPACE2, 1, 2), SemTensor.from_vector(vec(SPACE2, 1, 2)))
+        inner(vec(SPACE2, 1, 2), kronecker(vec(SPACE2, 1, 2), vec(SPACE2, 1, 2)))
     with pytest.raises(SpaceMismatchError):
         cosine(
             SemTensor(SPACE2, 2, {(0, 0): 1.0}),
@@ -316,8 +322,8 @@ def test_vector_file_round_trip(tmp_path):
     # a vector goes to file as an order-1 tensor
     v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.25, SPACE3.index("c"): -79.24})
     path = tmp_path / "v.tsv"
-    save_tensor(path, SemTensor.from_vector(v))
-    assert load_tensor(path, SPACE3).to_vector() == v
+    save_tensor(path, v)
+    assert load_tensor(path, SPACE3) == v
     text = path.read_text(encoding="utf-8")
     assert text.startswith("#space\tthree\tplain\n#order\t1\n")
 
@@ -368,7 +374,7 @@ def test_save_vectors_refuses_a_word_holding_a_tab_or_line_break(tmp_path, word)
 def test_file_header_is_validated(tmp_path):
     v = WeightedVector(SPACE3, {SPACE3.index("a"): 1.0})
     path = tmp_path / "v.tsv"
-    save_tensor(path, SemTensor.from_vector(v))
+    save_tensor(path, v)
     with pytest.raises(ValueError):
         load_tensor(path, SPACE2)
     path.write_text("no header\n", encoding="utf-8")
@@ -394,6 +400,28 @@ def test_atomic_write_leaves_nothing_on_failure(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+# A process that sets the umask before it imports gramsem, then writes one
+# file through atomic_write and one through open.
+UMASK_SCRIPT = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from gramsem.vectorspace import _write_lines
+_write_lines(sys.argv[2], ["x"])
+open(sys.argv[3], "w").close()
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    # mkstemp makes its file 0600; the written file has 0o666 less the umask
+    written, opened = tmp_path / "written.tsv", tmp_path / "opened.tsv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramsem.__file__)))
+    subprocess.run([sys.executable, "-c", UMASK_SCRIPT, umask, str(written), str(opened)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert stat.S_IMODE(written.stat().st_mode) == mode
+    assert stat.S_IMODE(opened.stat().st_mode) == mode
 
 
 def test_load_tensor_checks_the_order_line(tmp_path):
