@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import composition, corpus, evaluation, pregroup, vectorspace
-from .errors import DatasetError, DegenerateDataError, FileFormatError, GramsemError
+from .errors import DatasetError, DegenerateDataError, FileFormatError, GramsemError, LexiconError
 
 _ALL_MODELS = list(evaluation.MODELS)
 
@@ -130,7 +130,10 @@ def cmd_sim(args) -> int:
     pair = evaluation.SentencePair(
         "cli", tuple(args.sentence1.split()), tuple(args.sentence2.split())
     )
-    value = evaluation.model_similarity(pair, args.model, lex, grammar)
+    try:
+        value = evaluation.model_similarity(pair, args.model, lex, grammar)
+    except LexiconError as exc:  # a word lookup's message names no file
+        raise LexiconError(f"{args.lexicon}: {exc}") from None
     print(f"{value:.6f}")
     return 0
 
@@ -154,6 +157,8 @@ def cmd_eval(args) -> int:
             continue
         except DatasetError as exc:
             raise FileFormatError(f"{args.dataset}: {exc}") from None
+        except LexiconError as exc:
+            raise LexiconError(f"{args.lexicon}: {exc}") from None
         scores.update(report.scores)
     _summary(models=len(models), scored=len(scores), degenerate=",".join(degenerate))
     if not scores:

@@ -434,40 +434,72 @@ def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
     return w
 
 
-def _check_collection_line(path, lineno: int, line: str, space: BasisRegistry, weights) -> None:
-    """Check a collection line that ``load_vectors``' row loop could not take:
-    return on a blank or '#' line, else raise the row's first error among its
-    field count, label, a duplicate entry and its weight."""
-    line = line.rstrip("\n")
-    if not line or line[0] == "#":
-        return
-    row = line.split("\t")
-    if len(row) != 3:
-        raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
-    word, label, text = row
-    if label not in space:
-        raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
-    if space.index(label) in weights.get(word, ()):
-        raise FileFormatError(f"{path}:{lineno}: duplicate entry for {word!r}/{label!r}")
-    _weight(text, path, lineno)
+def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
+    """Read a weight file, checking each row once: ``word<TAB>label<TAB>weight``
+    rows if ``named``, else a tensor's, of the '#order' line's or the first row's
+    order.  Return the order and each word's entries, a tensor's under the key
+    None; ``_reread`` takes the lines the loop cannot."""
+    index = space._index
+    rows: dict = {} if named else {None: {}}
+    word, entries = None, rows.get(None)
+    order = 1 if named else None
+    with open_text(path) as handle:
+        _check_header(handle, path, space)
+        for lineno, line in enumerate(handle, 2):
+            try:
+                if named:
+                    this, a, text = line.split("\t")
+                    # Rows come grouped by word, and a '#' line (a comment) never
+                    # has the word of the row before it.
+                    if this != word:
+                        if this[:1] == "#":
+                            continue
+                        word, entries = this, rows.setdefault(this, {})
+                    key = index[a]
+                elif order == 2:
+                    a, b, text = line.split("\t")
+                    key = (index[a], index[b])
+                elif order == 1:
+                    a, text = line.split("\t")
+                    key = index[a]
+                elif order == 3:
+                    a, b, c, text = line.split("\t")
+                    key = (index[a], index[b], index[c])
+                else:  # until a '#order' line or the first row sets it
+                    raise KeyError(order)
+                w = float(text)
+                # w - w is nonzero only for inf and nan; no label starts with '#' as comments do
+                if key in entries or w - w:
+                    raise KeyError(key)
+            except (KeyError, ValueError):
+                order = _reread(path, lineno, line, space, named, order, rows)
+                continue
+            entries[key] = w
+    if order is None:
+        raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
+    return order, rows
 
 
-def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, entries) -> int | None:
-    """Read a tensor file line that ``load_tensor``'s row loop could not take;
-    return the order known after it.  A '#order' line, then a row's width,
-    must agree with ``order`` or set it; then come the row's first unknown
-    label, a duplicate entry and its weight.  A valid row joins ``entries``."""
+def _reread(path, lineno: int, line: str, space, named: bool, order: int | None, rows) -> int | None:
+    """Read again a line that ``_read_rows``' loop could not take; return the
+    order known after it.  Blank and '#' lines are skipped, but a tensor file's
+    '#order' line must agree with ``order`` or set it.  Then come a row's width
+    (a first row sets a tensor's order), its first unknown label, a duplicate
+    entry and its weight.  A valid row joins ``rows``."""
     line = line.rstrip("\n")
     if not line:
         return order
     *labels, text = line.split("\t")
     if line[0] == "#":
-        if labels == ["#order"]:
+        if labels == ["#order"] and not named:
             if order is None and text in ("1", "2", "3"):
                 return int(text)
             if order is None or text != str(order):
                 raise FileFormatError(f"{path}:{lineno}: order {text} is not {order or '1-3'}")
         return order
+    if named and len(labels) != 2:
+        raise FileFormatError(f"{path}:{lineno}: expected 'word<TAB>label<TAB>weight'")
+    word = labels.pop(0) if named else None  # a collection's order is 1: one label is left
     if order is None and 1 <= len(labels) <= 3:
         order = len(labels)
     if len(labels) != order:
@@ -476,8 +508,10 @@ def _read_tensor_line(path, lineno: int, line: str, space, order: int | None, en
         if label not in space:
             raise UnknownLabelError(f"{path}:{lineno}: label {label!r} not in space {space.name!r}")
     key = space.index(labels[0]) if order == 1 else tuple(map(space.index, labels))
+    entries = rows.setdefault(word, {})
     if key in entries:
-        raise FileFormatError(f"{path}:{lineno}: duplicate entry {labels!r}")
+        what = f"for {word!r}/{labels[0]!r}" if named else repr(labels)
+        raise FileFormatError(f"{path}:{lineno}: duplicate entry {what}")
     entries[key] = _weight(text, path, lineno)
     return order
 
@@ -519,35 +553,8 @@ def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
 def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
     """Read a tensor file, checking each row once.  The order is the '#order'
     line's, else the first row's; a later '#order' line must agree."""
-    index = space._index
-    entries: dict = {}
-    order = None
-    with open_text(path) as handle:
-        _check_header(handle, path, space)
-        for lineno, line in enumerate(handle, 2):
-            try:
-                if order == 2:
-                    a, b, text = line.split("\t")
-                    key = (index[a], index[b])
-                elif order == 1:
-                    a, text = line.split("\t")
-                    key = index[a]
-                elif order == 3:
-                    a, b, c, text = line.split("\t")
-                    key = (index[a], index[b], index[c])
-                else:  # until a '#order' line or the first row sets it
-                    raise KeyError(order)
-                w = float(text)
-                # w - w is nonzero only for inf and nan; no label starts with '#' as comments do
-                if key in entries or w - w:
-                    raise KeyError(key)
-            except (KeyError, ValueError):
-                order = _read_tensor_line(path, lineno, line, space, order, entries)
-                continue
-            entries[key] = w
-    if order is None:
-        raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
-    return SemTensor._trusted(space, order, _nonzero(entries))
+    order, rows = _read_rows(path, space, False)
+    return SemTensor._trusted(space, order, _nonzero(rows[None]))
 
 
 def save_vectors(
@@ -569,26 +576,5 @@ def save_vectors(
 
 def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, SemTensor]:
     """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
-    index = space._index
-    weights: dict[str, dict[int, float]] = {}
-    word = per_word = None
-    with open_text(path) as handle:
-        _check_header(handle, path, space)
-        for lineno, line in enumerate(handle, 2):
-            try:
-                this, label, text = line.split("\t")
-                # Rows come grouped by word, and a '#' line (a comment) never
-                # has the word of the row before it.
-                if this != word:
-                    if this[:1] == "#":
-                        continue
-                    word, per_word = this, weights.setdefault(this, {})
-                i = index[label]
-                w = float(text)
-                if i in per_word or w - w:  # w - w is nonzero for inf and nan only
-                    raise KeyError(label)
-            except (KeyError, ValueError):
-                _check_collection_line(path, lineno, line, space, weights)
-                continue
-            per_word[i] = w
-    return {word: SemTensor._trusted(space, 1, _nonzero(ws)) for word, ws in weights.items()}
+    _, rows = _read_rows(path, space, True)
+    return {word: SemTensor._trusted(space, 1, _nonzero(ws)) for word, ws in rows.items()}

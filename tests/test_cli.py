@@ -495,6 +495,50 @@ def test_eval_scores_a_repeated_model_once(benchmark_files, capsys):
     assert [line.split()[0] for line in out.splitlines()] == ["Model", "add"]
 
 
+def test_comment_and_blank_lines_change_no_output(benchmark_files, tmp_path, capsys):
+    # Lines the writers never write go through the row checker, which skips them.
+    _, paths = benchmark_files
+    edited = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], edited)
+    for name, after in (("nouns.tsv", 1), (os.path.join("verbs", "charge.tsv"), 2)):
+        lines = (edited / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[after:after] = ["# a comment\n", "\n"]
+        (edited / name).write_text("".join(lines), encoding="utf-8")
+    outputs = []
+    for sem in (paths["semantics"], str(edited)):
+        files = ("--lexicon", paths["lexicon"], "--basis", paths["basis"], "--semantics-dir", sem)
+        report = tmp_path / f"report-{len(outputs)}.tsv"
+        sim = run(capsys, "sim", "knight charge enemy", "knight storm enemy", *files)
+        evaluation = run(capsys, "eval", "--dataset", paths["dataset"], *files, "--out", str(report))
+        outputs.append((sim, evaluation, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == outputs[0][1][0] == 0
+
+
+@pytest.mark.parametrize("command", ["sim", "eval"])
+def test_a_word_missing_from_the_lexicon_names_the_lexicon(benchmark_files, tmp_path, capsys,
+                                                           command):
+    _, paths = benchmark_files
+    lexicon = tmp_path / "lexicon.tsv"
+    with open(paths["lexicon"], encoding="utf-8") as handle:
+        lexicon.write_text("".join(line for line in handle if line != "enemy\tn\n"), "utf-8")
+    files = ("--lexicon", str(lexicon), "--basis", paths["basis"],
+             "--semantics-dir", paths["semantics"])
+    if command == "sim":
+        argv = ("sim", "knight charge enemy", "knight storm enemy", *files)
+    else:
+        argv = ("eval", "--dataset", paths["dataset"], *files, "--out", str(tmp_path / "r.tsv"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {lexicon}: word 'enemy' is not in the lexicon\n"
+    assert sorted(os.listdir(tmp_path)) == ["lexicon.tsv"]
+    # A fault the lexicon reader finds names path:line once.
+    lexicon.write_text("knight\n", "utf-8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {lexicon}:1: expected 'word<TAB>type'\n"
+
+
 def test_duplicate_tensor_names_both_files(benchmark_files, tmp_path, capsys):
     _, paths = benchmark_files
     sem = tmp_path / "sem"
