@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import composition, corpus, evaluation, pregroup, vectorspace
-from .errors import DatasetError, DegenerateDataError, FileFormatError, GramsemError, LexiconError
+from .errors import DatasetError, FileFormatError, GramsemError, LexiconError
 
 _ALL_MODELS = list(evaluation.MODELS)
 
@@ -22,21 +22,21 @@ _ALL_MODELS = list(evaluation.MODELS)
 _SPACE_NAME = "N"
 
 
-def _space_from(basis_path: str, semantics_dir: str | None) -> vectorspace.BasisRegistry:
+def _space_from(basis_path: str, semantics_dir: str) -> vectorspace.BasisRegistry:
     """Basis registry for the CLI run; nouns.tsv's header fixes name and kind."""
     name = _SPACE_NAME
     kind = vectorspace.PLAIN
-    if semantics_dir:
-        nouns_path = os.path.join(semantics_dir, "nouns.tsv")
-        if os.path.exists(nouns_path):
-            with vectorspace.open_text(nouns_path) as handle:
-                parts = handle.readline().rstrip("\n").split("\t")
-            if len(parts) == 3 and parts[0] == "#space":
-                name, kind = parts[1], parts[2]
-                if not name:
-                    raise FileFormatError(f"{nouns_path}:1: space name must be non-empty")
-                if kind not in (vectorspace.PLAIN, vectorspace.STRUCTURED):
-                    raise FileFormatError(f"{nouns_path}:1: unknown basis kind: {kind!r}")
+    nouns_path = os.path.join(semantics_dir, "nouns.tsv")
+    if not os.path.exists(nouns_path):
+        raise GramsemError(f"{nouns_path} not found; run build-nouns first")
+    with vectorspace.open_text(nouns_path) as handle:
+        parts = handle.readline().rstrip("\n").split("\t")
+    if len(parts) == 3 and parts[0] == "#space":
+        name, kind = parts[1], parts[2]
+        if not name:
+            raise FileFormatError(f"{nouns_path}:1: space name must be non-empty")
+        if kind not in (vectorspace.PLAIN, vectorspace.STRUCTURED):
+            raise FileFormatError(f"{nouns_path}:1: unknown basis kind: {kind!r}")
     return corpus.read_basis(basis_path, name=name, kind=kind)
 
 
@@ -82,10 +82,7 @@ def _build_tensor(args, kind: str, word: str, records, builders, skipped_key: st
     counted under ``skipped_key``.
     """
     space = _space_from(args.basis, args.semantics_dir)
-    nouns_path = os.path.join(args.semantics_dir, "nouns.tsv")
-    if not os.path.exists(nouns_path):
-        raise GramsemError(f"{nouns_path} not found; run build-nouns first")
-    vectors = vectorspace.load_vectors(nouns_path, space)
+    vectors = vectorspace.load_vectors(os.path.join(args.semantics_dir, "nouns.tsv"), space)
     occurrences = [nouns for head, nouns in records(args.triples) if head == word]
     if not occurrences:
         raise GramsemError(f"{kind} {word!r} does not occur in {args.triples}")
@@ -97,7 +94,8 @@ def _build_tensor(args, kind: str, word: str, records, builders, skipped_key: st
     ]
     tensor = builders[arity]([k[0] for k in kept] if arity == 1 else kept, space=space)
     out = args.out or os.path.join(args.semantics_dir, f"{kind}s", f"{word}.tsv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    if not args.out:  # a given --out's directory must exist, as for every command
+        os.makedirs(os.path.dirname(out), exist_ok=True)
     vectorspace.save_tensor(out, tensor)
     skipped = len(occurrences) - len(kept)
     _summary(**{kind: word, "occurrences": len(kept), skipped_key: skipped, "written": out})
@@ -139,34 +137,27 @@ def cmd_sim(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Score each model on its own: a model whose correlation is undefined is
-    reported and left out, and the run fails only when no model scored."""
+    """A model whose correlation is undefined is reported and left out; ``--out``
+    is written before anything is printed, and the run fails if no model scored."""
     space = _space_from(args.basis, args.semantics_dir)
     lex = composition.load_semantics(args.semantics_dir, space)
     grammar = pregroup.load_lexicon(args.lexicon)
     dataset = evaluation.read_dataset(args.dataset)
-    models = list(dict.fromkeys(args.model or _ALL_MODELS))  # a repeated --model scores once
-    scores = {}
-    degenerate = []
-    for model in models:
-        try:
-            report = evaluation.run_experiment(dataset, [model], lex, grammar)
-        except DegenerateDataError as exc:
-            print(f"gramsem: {model}: {exc}", file=sys.stderr)
-            degenerate.append(model)
-            continue
-        except DatasetError as exc:
-            raise FileFormatError(f"{args.dataset}: {exc}") from None
-        except LexiconError as exc:
-            raise LexiconError(f"{args.lexicon}: {exc}") from None
-        scores.update(report.scores)
-    _summary(models=len(models), scored=len(scores), degenerate=",".join(degenerate))
-    if not scores:
-        return 1
-    report = evaluation.ExperimentReport(scores)
-    print(report.table())
-    if args.out:
+    try:
+        report = evaluation.run_experiment(dataset, args.model or _ALL_MODELS, lex, grammar)
+    except DatasetError as exc:
+        raise FileFormatError(f"{args.dataset}: {exc}") from None
+    except LexiconError as exc:
+        raise LexiconError(f"{args.lexicon}: {exc}") from None
+    if report.scores and args.out:
         vectorspace._write_lines(args.out, report.tsv_lines())
+    for model, reason in report.degenerate.items():
+        print(f"gramsem: {model}: {reason}", file=sys.stderr)
+    _summary(models=len(report.scores) + len(report.degenerate), scored=len(report.scores),
+             degenerate=",".join(report.degenerate))
+    if not report.scores:
+        return 1
+    print(report.table())
     return 0
 
 

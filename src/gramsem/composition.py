@@ -343,8 +343,7 @@ def truth_meaning(m: SentenceMeaning) -> SentenceMeaning:
 
 def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> LexicalSemantics:
     directory = os.fspath(directory)
-    vectors_path = os.path.join(directory, "nouns.tsv")
-    vectors = load_vectors(vectors_path, space) if os.path.exists(vectors_path) else {}
+    vectors = load_vectors(os.path.join(directory, "nouns.tsv"), space)
     tensors: dict[str, SemTensor] = {}
     for sub in ("verbs", "adjectives"):
         folder = os.path.join(directory, sub)

@@ -63,10 +63,12 @@ class ModelScore(Value):
 
 
 class ExperimentReport(Value):
-    _fields = ("scores",)
+    _fields = ("scores", "degenerate")
 
-    def __init__(self, scores: Mapping[str, ModelScore]):
+    def __init__(self, scores: Mapping[str, ModelScore],
+                 degenerate: Mapping[str, str] | None = None):
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "degenerate", {} if degenerate is None else degenerate)
 
     def table(self) -> str:
         lines = [f"{'Model':<14}{'High':>8}{'Low':>8}{'rho':>8}"]
@@ -181,7 +183,7 @@ def model_similarity(
     starts with the model and both sentences.
 
     ``memo`` is a dict that calls for one ``lex`` and ``grammar`` share, as
-    the pairs of one ``run_experiment`` do: it keeps each sentence's verb,
+    one model's pairs in ``run_experiment`` do: it keeps each sentence's verb,
     each folded sentence vector (keyed by model, words, ``alpha`` and
     ``beta``) and each ordered verb pair's cosine.  The composed meanings
     of the categorical model are not kept.
@@ -285,13 +287,15 @@ def run_experiment(
     alpha: float = 0.5,
     beta: float = 0.5,
 ) -> ExperimentReport:
-    """Score every pair under every model and correlate with the gold ratings.
+    """Score every pair under each distinct model and correlate with the gold ratings.
 
     Rows sharing an id are one pair rated by several annotators; rho is
-    taken against each pair's mean rating.  The pairs share one ``memo``
-    (see ``model_similarity``), so each distinct sentence fold and verb
-    pair is scored once.  Faults of the dataset as a whole raise
-    ``DatasetError`` before any model is scored.
+    taken against each pair's mean rating.  A model's pairs share one
+    ``memo`` (see ``model_similarity``), so each distinct sentence fold and
+    verb pair is scored once.  A model whose correlation is undefined is
+    left out of the scores and named, with the reason, in ``degenerate``.
+    Faults of the dataset as a whole raise ``DatasetError`` before any
+    model is scored.
     """
     if not dataset:
         raise DatasetError("empty dataset")
@@ -306,16 +310,21 @@ def run_experiment(
     if {pair.tag for pair in pairs} != {HIGH, LOW}:
         raise DatasetError("need at least one pair in each tag class")
     means = [math.fsum(ratings) / len(ratings) for _, ratings in grouped]
-    memo: dict = {}
     report: dict[str, ModelScore] = {}
-    for model in models:
+    degenerate: dict[str, str] = {}
+    for model in dict.fromkeys(models):
+        memo: dict = {}  # one per model: no memo key is read by two models
         scores = [
             model_similarity(pair, model, lex, grammar, alpha=alpha, beta=beta, memo=memo)
             for pair in pairs
         ]
-        rho = spearman_rho(scores, means)
+        try:
+            rho = spearman_rho(scores, means)
+        except DegenerateDataError as exc:
+            degenerate[model] = str(exc)
+            continue
         report[model] = ModelScore(*high_low_means(pairs, scores), rho)
-    return ExperimentReport(report)
+    return ExperimentReport(report, degenerate)
 
 
 def read_dataset(path) -> list[SentencePair]:

@@ -867,6 +867,52 @@ def test_missing_output_directory_is_named(tiny_world, capsys):
     assert [p for p in tiny_world.iterdir() if p.suffix == ".part"] == []
 
 
+def test_eval_prints_nothing_before_out_is_written(benchmark_files, tmp_path, capsys):
+    # --out is written before the table and the summary are printed
+    _, paths = benchmark_files
+    missing = tmp_path / "missing"
+    code, out, err = run(
+        capsys, "eval", "--dataset", paths["dataset"], "--lexicon", paths["lexicon"],
+        "--basis", paths["basis"], "--semantics-dir", paths["semantics"],
+        "--out", str(missing / "r.tsv"),
+    )
+    assert (code, out, err) == (1, "", f"gramsem: output directory {missing} does not exist\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, word", [("build-verb", "show"), ("build-adj", "big")])
+def test_build_tensor_refuses_a_missing_out_directory(sample_world, capsys, command, word):
+    # only the default <dir>/verbs/ or <dir>/adjectives/ folder is made
+    (sample_world / "adjectives.tsv").write_text("big\ttable\n", encoding="utf-8")
+    records = "triples.tsv" if command == "build-verb" else "adjectives.tsv"
+    before = sorted(sample_world.rglob("*"))
+    missing = sample_world / "missing"
+    code, out, err = run(
+        capsys, command, word, "--triples", str(sample_world / records),
+        "--basis", str(sample_world / "basis.txt"), "--semantics-dir", str(sample_world / "sem"),
+        "--out", str(missing / "x.tsv"),
+    )
+    assert (code, out, err) == (1, "", f"gramsem: output directory {missing} does not exist\n")
+    assert sorted(sample_world.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["build-verb", "build-adj", "sim", "eval"])
+def test_a_missing_nouns_file_is_named(benchmark_files, tmp_path, capsys, command):
+    _, paths = benchmark_files
+    nouns = tmp_path / "nosuchdir" / "nouns.tsv"
+    common = ("--basis", paths["basis"], "--semantics-dir", str(nouns.parent))
+    argv = {
+        "build-verb": ("build-verb", "charge", "--triples", paths["triples"], *common),
+        "build-adj": ("build-adj", "charge", "--triples", paths["triples"], *common),
+        "sim": ("sim", "knight charge enemy", "knight storm enemy",
+                "--lexicon", paths["lexicon"], *common),
+        "eval": ("eval", "--dataset", paths["dataset"], "--lexicon", paths["lexicon"], *common),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"gramsem: {nouns} not found; run build-nouns first\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- degenerate models and zero vectors are reported, not fatal ----------------
 
 

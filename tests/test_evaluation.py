@@ -5,7 +5,7 @@ import math
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_ranks, oracle_spearman
@@ -255,8 +255,9 @@ def test_run_experiment_degenerate_baseline(world):
         SentencePair("p1", ("knight", "charge", "enemy"), ("army", "charge", "rival"), 7.0, HIGH),
         SentencePair("p2", ("bull", "charge", "enemy"), ("mob", "charge", "rival"), 1.0, LOW),
     ]
-    with pytest.raises(DegenerateDataError):
-        run_experiment(rows, ["verb_baseline"], world.lex, world.grammar)
+    report = run_experiment(rows, ["verb_baseline"], world.lex, world.grammar)
+    assert report.degenerate == {"verb_baseline": "correlation undefined on constant input"}
+    assert report.scores == {}
 
 
 def test_run_experiment_annotator_modes(world):
@@ -482,3 +483,51 @@ def test_verb_baseline_scores_each_ordered_verb_pair_once(world, monkeypatch):
     assert len(verb_pairs) == 4 and len(rows) == 51
     run_experiment(rows, ["verb_baseline"], world.lex, world.grammar)
     assert len(calls) == len(verb_pairs)
+
+
+# --- one call scores every model --------------------------------------------------------
+
+# 'nap' has no tensor, so the categorical model cannot compose it
+SCORED_SENTENCES = [s for s in MEMO_SENTENCES if "nap" not in s]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lex=memo_worlds(),
+    rows=st.lists(
+        st.tuples(st.sampled_from(SCORED_SENTENCES), st.sampled_from(SCORED_SENTENCES),
+                  st.integers(1, 7).map(float)),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_one_call_scores_each_model_as_a_call_of_its_own(lex, rows):
+    assume(len({rating for _, _, rating in rows}) > 1)
+    dataset = [SentencePair(f"p{k}", s1, s2, rating, (HIGH, LOW)[k % 2])
+               for k, (s1, s2, rating) in enumerate(rows)]
+    report = run_experiment(dataset, MODELS, lex, MEMO_GRAMMAR)
+    for model in MODELS:
+        alone = run_experiment(dataset, [model], lex, MEMO_GRAMMAR)
+        assert alone.scores == {m: s for m, s in report.scores.items() if m == model}
+        assert alone.degenerate == {m: r for m, r in report.degenerate.items() if m == model}
+        fresh = {model_similarity(pair, model, lex, MEMO_GRAMMAR) for pair in dataset}
+        assert (model in report.degenerate) == (len(fresh) == 1)
+    # every model scored or is degenerate, each mapping in request order
+    assert list(report.scores) == [m for m in MODELS if m not in report.degenerate]
+    assert list(report.degenerate) == [m for m in MODELS if m in report.degenerate]
+
+
+def test_a_repeated_model_scores_each_pair_once(world, monkeypatch):
+    import gramsem.evaluation as evaluation
+
+    calls = []
+
+    def counted(pair, model, *args, **kwargs):
+        calls.append((pair.pair_id, model))
+        return model_similarity(pair, model, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "model_similarity", counted)
+    report = run_experiment(world.dataset, ["add", "add"], world.lex, world.grammar)
+    pair_ids = list(dict.fromkeys(row.pair_id for row in world.dataset))
+    assert calls == [(pair_id, "add") for pair_id in pair_ids]
+    assert list(report.scores) == ["add"] and report.degenerate == {}

@@ -176,9 +176,13 @@ CASES = {
     ),
     "ExperimentReport": Case(
         ExperimentReport,
-        {"scores": {"add": SCORE}},
-        f"ExperimentReport(scores={{'add': {SCORE_REPR}}})",
-        [{"scores": {"multiply": SCORE}}, {"scores": {"add": ModelScore(0.5, 0.25, 0.2)}}],
+        {"scores": {"add": SCORE}, "degenerate": {"multiply": "undefined"}},
+        f"ExperimentReport(scores={{'add': {SCORE_REPR}}}, degenerate={{'multiply': 'undefined'}})",
+        [
+            {"scores": {"multiply": SCORE}}, {"scores": {"add": ModelScore(0.5, 0.25, 0.2)}},
+            {"degenerate": {}}, {"degenerate": {"multiply": "other"}},
+        ],
+        defaults={"degenerate": {}},
         hashable=False,
     ),
     "TwoSenseBenchmark": Case(
