@@ -12,6 +12,7 @@ meanings unchanged.
 from __future__ import annotations
 
 import os
+from collections import UserDict
 from enum import Enum
 from itertools import product
 from typing import Mapping, Sequence
@@ -31,6 +32,7 @@ from .vectorspace import (
     load_vectors,
     pointwise_mul,
 )
+from .vectorspace import _check_header, open_text
 
 
 class SentenceSpace(Enum):
@@ -86,7 +88,7 @@ class LexicalSemantics(Value):
                 raise CompositionError(f"tensor for {word!r} is not in space {space.name!r}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "vectors", dict(vectors))
-        object.__setattr__(self, "tensors", dict(tensors))
+        object.__setattr__(self, "tensors", _TensorFiles(space, dict(tensors)))
 
     def vector(self, word: str) -> SemTensor:
         try:
@@ -95,18 +97,49 @@ class LexicalSemantics(Value):
             raise CompositionError(f"no vector for word {word!r}") from None
 
     def tensor(self, word: str, order: int | None = None) -> SemTensor:
-        try:
-            t = self.tensors[word]
-        except KeyError:
-            raise CompositionError(f"no tensor for word {word!r}") from None
+        if word not in self.tensors:  # a file's unknown label is a KeyError too
+            raise CompositionError(f"no tensor for word {word!r}")
+        t = self.tensors[word]
         if order is not None and t.order != order:
             raise CompositionError(
                 f"tensor for {word!r} has order {t.order}, expected {order}"
             )
         return t
 
+    def tensor_order(self, word: str) -> int | None:
+        """The order of ``word``'s tensor, ``None`` if it has none.  A file not read yet is
+        read to its first row only, if that row has the width its '#order' line states."""
+        path = self.tensors.data.get(word)
+        if isinstance(path, str) and word not in self.tensors.orders:
+            with open_text(path) as handle:
+                _check_header(handle, path, self.space)
+                order = _ORDER_LINES.get(handle.readline().rstrip("\n"))
+                if handle.readline().count("\t") == order:  # that many labels and a weight
+                    self.tensors.orders[word] = order
+        if word in self.tensors.orders:
+            return self.tensors.orders[word]
+        return self.tensors[word].order if word in self.tensors else None
+
+
+class _TensorFiles(UserDict):
+    """Word -> tensor, or the path of a file that ``load_tensor`` reads when the
+    word is first looked up; ``orders`` keeps the orders read from first lines."""
+
+    def __init__(self, space: BasisRegistry, data: dict[str, SemTensor | str]):
+        self.space, self.data, self.orders = space, data, {}
+
+    def __getitem__(self, word: str) -> SemTensor:
+        value = self.data[word]
+        if isinstance(value, str):  # load_tensor by this module's name, which tracing rebinds
+            value = self.data[word] = load_tensor(value, self.space)
+        return value
+
+    def get(self, word, default=None):  # Mapping's would drop an unknown label's KeyError
+        return self[word] if word in self.data else default
+
 
 _SPACE_BY_ORDER = {1: SentenceSpace.N, 2: SentenceSpace.N2, 3: SentenceSpace.N3}
+_ORDER_LINES = {f"#order\t{order}": order for order in _SPACE_BY_ORDER}
 
 
 def contract(verb: SemTensor, *args: SemTensor) -> SentenceMeaning:
@@ -342,9 +375,11 @@ def truth_meaning(m: SentenceMeaning) -> SentenceMeaning:
 
 
 def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> LexicalSemantics:
+    """Read ``nouns.tsv`` and list the tensor files, refusing a word with two.  A tensor
+    file is read, and checked in full, when a query first needs its rows; see ``tensor_order``."""
     directory = os.fspath(directory)
     vectors = load_vectors(os.path.join(directory, "nouns.tsv"), space)
-    tensors: dict[str, SemTensor] = {}
+    lex = LexicalSemantics(space, vectors, {})
     for sub in ("verbs", "adjectives"):
         folder = os.path.join(directory, sub)
         if not os.path.isdir(folder):
@@ -353,10 +388,10 @@ def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> Lexica
             if not entry.endswith(".tsv"):
                 continue
             word, path = entry[: -len(".tsv")], os.path.join(folder, entry)
-            if word in tensors:  # only adjectives/<word>.tsv can repeat verbs/<word>.tsv
+            if word in lex.tensors:  # only adjectives/<word>.tsv can repeat verbs/<word>.tsv
                 first = os.path.join(directory, "verbs", entry)
                 raise CompositionError(
                     f"{path}: duplicate tensor definition for {word!r}, also in {first}"
                 )
-            tensors[word] = load_tensor(path, space)
-    return LexicalSemantics(space, vectors, tensors)
+            lex.tensors.data[word] = path  # read by the first lookup of word
+    return lex

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from ._value import Value
 from .composition import _MODIFIER, LexicalSemantics, _plan, align_orders, compose_sentence
-from .errors import CompositionError, DatasetError, DegenerateDataError
+from .errors import CompositionError, DatasetError, DegenerateDataError, FileFormatError
 from .pregroup import SENTENCE, Lexicon
 from .vectorspace import SemTensor, add, cosine, pointwise_mul, scale
 from .vectorspace import _breaks_line, _read_records, _write_lines
@@ -122,9 +122,8 @@ def _folded(
         return out
     parts = []
     for word, role in _word_roles(words, grammar):
-        tensor = lex.tensors.get(word)
-        if role != "noun" and tensor is not None and tensor.order == 1:
-            v = tensor
+        if role != "noun" and lex.tensor_order(word) == 1:
+            v = lex.tensors[word]
         else:
             v = lex.vector(word)
         if combine == "weighted_add":
@@ -154,9 +153,9 @@ def _verb_cosine(v1: str, v2: str, lex: LexicalSemantics, memo: dict) -> float:
     key = ("verb_baseline", v1, v2)
     value = memo.get(key)
     if value is None:
-        t1, t2 = lex.tensors.get(v1), lex.tensors.get(v2)
-        if t1 is not None and t2 is not None and t1.order == t2.order:
-            value = cosine(t1, t2)
+        order = lex.tensor_order(v1)
+        if order is not None and order == lex.tensor_order(v2):
+            value = cosine(lex.tensors[v1], lex.tensors[v2])
         else:
             value = cosine(lex.vector(v1), lex.vector(v2))
         memo[key] = value
@@ -207,6 +206,8 @@ def model_similarity(
         f1 = _folded(s1, lex, grammar, model, alpha, beta, memo)
         f2 = _folded(s2, lex, grammar, model, alpha, beta, memo)
         return cosine(f1, f2)
+    except FileFormatError:  # a tensor file read on first use names its own path:line
+        raise
     except ValueError as exc:  # a computed weight that is not finite
         raise ValueError(f"{model}: {' '.join(s1)!r} / {' '.join(s2)!r}: {exc}") from exc
 

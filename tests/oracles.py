@@ -11,6 +11,7 @@ import os
 from functools import lru_cache
 from typing import Iterator
 
+from gramsem.composition import LexicalSemantics
 from gramsem.corpus import CountAccumulator
 from gramsem.pregroup import (
     ADJECTIVE,
@@ -22,11 +23,13 @@ from gramsem.pregroup import (
     cancels,
     parse_type,
 )
-from gramsem.errors import FileFormatError, SpaceMismatchError, UnknownLabelError
+from gramsem.errors import CompositionError, FileFormatError, SpaceMismatchError, UnknownLabelError
 from gramsem.vectorspace import (
     BasisRegistry,
     SemTensor,
     atomic_write,
+    load_tensor,
+    load_vectors,
     open_text,
 )
 
@@ -316,3 +319,30 @@ def oracle_save_vectors(
                 raise SpaceMismatchError(f"vector for {word!r} is not in space {space.name!r}")
             for label, w in sorted(v.labelled().items()):
                 handle.write(f"{word}\t{label}\t{w!r}\n")
+
+
+# --- the eager semantics loader ---------------------------------------------
+# Copied from the library as it was before a tensor file was read on first
+# use: every file under verbs/ and adjectives/ is parsed and checked here.
+# Only the public name gained the ``oracle_`` prefix.
+
+
+def oracle_load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> LexicalSemantics:
+    directory = os.fspath(directory)
+    vectors = load_vectors(os.path.join(directory, "nouns.tsv"), space)
+    tensors: dict[str, SemTensor] = {}
+    for sub in ("verbs", "adjectives"):
+        folder = os.path.join(directory, sub)
+        if not os.path.isdir(folder):
+            continue
+        for entry in sorted(os.listdir(folder)):
+            if not entry.endswith(".tsv"):
+                continue
+            word, path = entry[: -len(".tsv")], os.path.join(folder, entry)
+            if word in tensors:  # only adjectives/<word>.tsv can repeat verbs/<word>.tsv
+                first = os.path.join(directory, "verbs", entry)
+                raise CompositionError(
+                    f"{path}: duplicate tensor definition for {word!r}, also in {first}"
+                )
+            tensors[word] = load_tensor(path, space)
+    return LexicalSemantics(space, vectors, tensors)

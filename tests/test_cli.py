@@ -556,6 +556,107 @@ def test_duplicate_tensor_names_both_files(benchmark_files, tmp_path, capsys):
     )
 
 
+# --- a tensor file is read when a query first needs it -------------------------------
+
+
+def tensor_reads(monkeypatch):
+    """The tensor files each later command parses, in order: every
+    ``load_tensor`` reads its rows through ``vectorspace._read_rows``."""
+    from gramsem import vectorspace
+
+    reads, read_rows = [], vectorspace._read_rows
+
+    def counted(path, space, named):
+        if not named:
+            reads.append(os.path.basename(path))
+        return read_rows(path, space, named)
+
+    monkeypatch.setattr(vectorspace, "_read_rows", counted)
+    return reads
+
+
+@pytest.mark.parametrize("model, read", [
+    ("add", []),
+    ("multiply", []),
+    ("weighted_add", []),
+    ("categorical", ["charge.tsv", "storm.tsv"]),
+    ("verb_baseline", ["charge.tsv", "storm.tsv"]),
+])
+def test_sim_parses_only_the_tensors_its_model_needs(benchmark_files, capsys, monkeypatch,
+                                                     model, read):
+    _, paths = benchmark_files
+    reads = tensor_reads(monkeypatch)
+    code, _, _ = run(capsys, "sim", "knight charge enemy", "knight storm enemy",
+                     "--model", model, "--lexicon", paths["lexicon"], "--basis", paths["basis"],
+                     "--semantics-dir", paths["semantics"])
+    assert code == 0 and reads == read
+
+
+def test_eval_parses_each_tensor_file_at_most_once(benchmark_files, capsys, monkeypatch):
+    _, paths = benchmark_files
+    reads = tensor_reads(monkeypatch)
+    code, _, _ = run(capsys, "eval", "--dataset", paths["dataset"], "--lexicon", paths["lexicon"],
+                     "--basis", paths["basis"], "--semantics-dir", paths["semantics"])
+    assert code == 0 and sorted(reads) == ["bill.tsv", "charge.tsv", "storm.tsv"]
+
+
+@pytest.mark.parametrize("model", ["add", "multiply", "weighted_add"])
+def test_a_folding_eval_opens_each_tensor_file_once(benchmark_files, capsys, monkeypatch, model):
+    # each verb is in many sentences; its order is read from its file once
+    from gramsem import composition
+
+    _, paths = benchmark_files
+    reads, opened, open_text = tensor_reads(monkeypatch), [], composition.open_text
+
+    def counted(path, *args):
+        opened.append(os.path.basename(path))
+        return open_text(path, *args)
+
+    monkeypatch.setattr(composition, "open_text", counted)
+    code, _, _ = run(capsys, "eval", "--model", model, "--dataset", paths["dataset"],
+                     "--lexicon", paths["lexicon"], "--basis", paths["basis"],
+                     "--semantics-dir", paths["semantics"])
+    assert code == 0 and reads == []
+    assert sorted(opened) == ["bill.tsv", "charge.tsv", "storm.tsv"]
+
+
+def test_a_fault_in_a_tensor_file_no_query_needs_ends_nothing(benchmark_files, tmp_path, capsys):
+    # sim reads no bill.tsv, so its bad row changes nothing; eval scores
+    # 'knight bill enemy', so it reads the file and names the row
+    _, paths = benchmark_files
+    sem = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], sem)
+    bill = sem / "verbs" / "bill.tsv"
+    with open(bill, "a", encoding="utf-8") as handle:
+        handle.write("nope\tnope\t1.0\n")
+    lineno = len(bill.read_text(encoding="utf-8").splitlines())
+    outputs = []
+    for directory in (paths["semantics"], str(sem)):
+        outputs.append(run(capsys, "sim", "knight charge enemy", "knight storm enemy",
+                           "--lexicon", paths["lexicon"], "--basis", paths["basis"],
+                           "--semantics-dir", directory))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    code, out, err = run(capsys, "eval", "--dataset", paths["dataset"], "--lexicon",
+                         paths["lexicon"], "--basis", paths["basis"], "--semantics-dir", str(sem))
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {bill}:{lineno}: label 'nope' not in space 'N'\n"
+
+
+@pytest.mark.parametrize("model", ["add", "categorical", "verb_baseline"])
+def test_a_tensor_header_naming_another_space_fails_every_model(toy_world, capsys, model):
+    # the folding models read a file only to its first row, and still check its header
+    chase = toy_world / "sem" / "verbs" / "chase.tsv"
+    lines = chase.read_text(encoding="utf-8").splitlines(keepends=True)
+    chase.write_text("".join(["#space\tother\tstructured\n", *lines[1:]]), encoding="utf-8")
+    code, out, err = run(capsys, "sim", "dogs chase cats", "cats chase dogs", "--model", model,
+                         "--lexicon", str(toy_world / "lexicon.tsv"),
+                         "--basis", str(toy_world / "basis.txt"),
+                         "--semantics-dir", str(toy_world / "sem"))
+    assert (code, out) == (1, "")
+    assert err == (f"gramsem: {chase}:1: header '#space other structured' is not"
+                   " '#space toy structured'\n")
+
+
 def test_sim_on_structured_toy_space(tmp_path, capsys):
     from fixtures import (
         TOY_LABELS, TOY_NOUNS, TOY_SPACE, save_semantics, toy_chase, toy_fluffy, toy_vector,

@@ -35,7 +35,7 @@ from gramsem.composition import (
     truth_theoretic_verb,
     truth_value,
 )
-from gramsem.errors import CompositionError, UngrammaticalError
+from gramsem.errors import CompositionError, UngrammaticalError, UnknownLabelError
 from gramsem.pregroup import standard_lexicon
 from gramsem.vectorspace import (
     BasisRegistry,
@@ -419,6 +419,22 @@ def test_semantics_directory_round_trip(tmp_path):
     assert loaded.tensors == lex.tensors
     assert (tmp_path / "adjectives" / "fluffy.tsv").exists()
     assert (tmp_path / "verbs" / "chase.tsv").exists()
+
+
+def test_a_tensor_file_is_read_when_first_looked_up(tmp_path):
+    # An unknown label is a KeyError: looked up, it must not read as a missing tensor.
+    save_semantics(tmp_path, toy_semantics(), adjectives=["fluffy", "shrewd"])
+    chase = tmp_path / "verbs" / "chase.tsv"
+    with open(chase, "a", encoding="utf-8") as handle:
+        handle.write("arg-nope\targ-fluffy\t1.0\n")
+    lineno = len(chase.read_text(encoding="utf-8").splitlines())
+    lex = load_semantics(tmp_path, TOY_SPACE)
+    assert "chase" in lex.tensors and "dogs" not in lex.tensors
+    assert lex.tensor_order("chase") == 2 and lex.tensor_order("dogs") is None
+    assert lex.tensors.get("dogs") is None and lex.tensors.get("fluffy") == toy_fluffy()
+    for lookup in (lex.tensors.get, lex.tensor, lex.tensors.__getitem__):
+        with pytest.raises(UnknownLabelError, match=f"chase.tsv:{lineno}: label 'arg-nope'"):
+            lookup("chase")
 
 
 def test_lexical_semantics_validation():

@@ -2,16 +2,21 @@
 
 import itertools
 import math
+import os
+import tempfile
 
 import pytest
 import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_ranks, oracle_spearman
+from fixtures import save_semantics
+from oracles import oracle_load_semantics, oracle_ranks, oracle_spearman
 from gramsem.benchmark import two_sense_benchmark
-from gramsem.composition import LexicalSemantics
-from gramsem.errors import CompositionError, DegenerateDataError, UngrammaticalError
+from gramsem.composition import LexicalSemantics, load_semantics
+from gramsem.errors import (
+    CompositionError, DegenerateDataError, FileFormatError, UngrammaticalError,
+)
 from gramsem.evaluation import (
     HIGH,
     LOW,
@@ -531,3 +536,154 @@ def test_a_repeated_model_scores_each_pair_once(world, monkeypatch):
     pair_ids = list(dict.fromkeys(row.pair_id for row in world.dataset))
     assert calls == [(pair_id, "add") for pair_id in pair_ids]
     assert list(report.scores) == ["add"] and report.degenerate == {}
+
+
+# --- tensors read on first use ----------------------------------------------------------
+
+LAZY_SPACE = BasisRegistry("lazy", ("a", "b", "c"))
+LAZY_GRAMMAR = standard_lexicon(
+    nouns=["dogs", "cats", "mice"], adjectives=["fierce", "old"],
+    intransitive=["run", "nap"], transitive=["chase"], ditransitive=["give"],
+)
+LAZY_SENTENCES = [
+    ("dogs", "run"),
+    ("old", "cats", "nap"),
+    ("dogs", "chase", "cats"),
+    ("fierce", "dogs", "chase", "mice"),
+    ("mice", "give", "dogs", "cats"),
+    ("fierce", "old", "mice"),
+]
+# every word but the nouns may have a tensor, of any order, with or without its '#order' line
+LAZY_TENSOR_WORDS = ("fierce", "old", "run", "nap", "chase", "give")
+
+
+@st.composite
+def lazy_worlds(draw, misstated=False):
+    """A semantics to write: every word has a vector, and each of the other
+    words maybe a tensor of order 1-3, under adjectives/ or verbs/; then the
+    words whose file loses its '#order' line and, if ``misstated``, one word
+    whose '#order' line names an order its rows do not have."""
+    weights = st.lists(st.integers(0, 3).map(float), min_size=3, max_size=3)
+    vectors = {word: WeightedVector(LAZY_SPACE, dict(enumerate(draw(weights))))
+               for word in LAZY_GRAMMAR.entries}
+    tensors = {}
+    for word in LAZY_TENSOR_WORDS:
+        order = draw(st.sampled_from([None, 1, 2, 3]))
+        if order is not None:
+            keys = list(itertools.product(range(3), repeat=order))
+            grid = draw(st.lists(st.integers(0, 2).map(float), min_size=len(keys),
+                                 max_size=len(keys)))
+            tensors[word] = SemTensor(LAZY_SPACE, order, dict(zip(keys, grid)))
+    adjectives = draw(st.sets(st.sampled_from(sorted(tensors)))) if tensors else set()
+    # with no '#order' line and no row, a file is one no loader can read
+    nonzero = sorted(word for word, t in tensors.items() if t.entries)
+    unordered = draw(st.sets(st.sampled_from(nonzero))) if nonzero else set()
+    stated = {}
+    if misstated:  # a file with a row, so that the row contradicts the line
+        assume(nonzero)
+        word = draw(st.sampled_from(nonzero))
+        unordered.discard(word)
+        stated[word] = draw(st.sampled_from([k for k in (1, 2, 3) if k != tensors[word].order]))
+    return LexicalSemantics(LAZY_SPACE, vectors, tensors), adjectives, unordered, stated
+
+
+def write_lazy_world(directory, lex, adjectives, unordered, stated):
+    """Save a drawn world, then drop or rewrite the '#order' lines it names."""
+    save_semantics(directory, lex, adjectives)
+    for word in {*unordered, *stated}:
+        path = os.path.join(directory, "adjectives" if word in adjectives else "verbs",
+                            f"{word}.tsv")
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert lines[1].startswith("#order\t")
+        lines[1:2] = [f"#order\t{stated[word]}\n"] if word in stated else []
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+
+
+def _read_outcome(call):
+    try:
+        return _outcome(call)
+    except FileFormatError as exc:
+        return type(exc), str(exc)
+
+
+LAZY_ROWS = st.lists(
+    st.tuples(st.sampled_from(LAZY_SENTENCES), st.sampled_from(LAZY_SENTENCES),
+              st.integers(1, 7).map(float)),
+    min_size=2,
+    max_size=6,
+)
+
+
+def lazy_dataset(rows):
+    return [SentencePair(f"p{k}", s1, s2, rating, (HIGH, LOW)[k % 2])
+            for k, (s1, s2, rating) in enumerate(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=lazy_worlds(), rows=LAZY_ROWS)
+def test_tensors_read_on_first_use_score_as_the_eager_loader(world, rows):
+    # Each model's calls get a semantics of their own, so each one meets
+    # tensor files that nothing has read yet.
+    lex = world[0]
+    dataset = lazy_dataset(rows)
+    with tempfile.TemporaryDirectory() as directory:
+        write_lazy_world(directory, *world)
+        eager = oracle_load_semantics(directory, LAZY_SPACE)
+        for model in MODELS:
+            lazy = load_semantics(directory, LAZY_SPACE)
+            for pair in dataset:
+                assert _outcome(lambda: model_similarity(pair, model, lazy, LAZY_GRAMMAR)) == \
+                    _outcome(lambda: model_similarity(pair, model, eager, LAZY_GRAMMAR))
+            lazy = load_semantics(directory, LAZY_SPACE)
+            assert _outcome(lambda: run_experiment(dataset, [model], lazy, LAZY_GRAMMAR)) == \
+                _outcome(lambda: run_experiment(dataset, [model], eager, LAZY_GRAMMAR))
+        lazy = load_semantics(directory, LAZY_SPACE)
+        assert _outcome(lambda: run_experiment(dataset, MODELS, lazy, LAZY_GRAMMAR)) == \
+            _outcome(lambda: run_experiment(dataset, MODELS, eager, LAZY_GRAMMAR))
+        lazy = load_semantics(directory, LAZY_SPACE)
+        for word in (*LAZY_TENSOR_WORDS, "dogs"):
+            assert (word in lazy.tensors) == (word in eager.tensors)
+            assert lazy.tensor_order(word) == eager.tensor_order(word)
+            assert lazy.tensors.get(word) == eager.tensors.get(word)
+        assert lazy == eager and lazy.tensors == eager.tensors == lex.tensors
+
+
+@settings(max_examples=40, deadline=None)
+@given(world=lazy_worlds(misstated=True), rows=LAZY_ROWS)
+def test_a_misstated_order_line_fails_as_in_the_eager_loader(world, rows):
+    # The eager loader refuses the directory.  Read on first use, the file
+    # fails each query that looks its word up with the same message; any
+    # other query scores as if the word had no tensor.  The folding models
+    # ask for the order of each word but the nouns, and the file's first row
+    # contradicts its '#order' line, so they fail on each pair that has it.
+    lex, _, _, stated = world
+    [word] = stated
+    dataset = lazy_dataset(rows)
+    with tempfile.TemporaryDirectory() as directory:
+        write_lazy_world(directory, *world)
+        with pytest.raises(FileFormatError) as refused:
+            oracle_load_semantics(directory, LAZY_SPACE)
+        failure = (type(refused.value), str(refused.value))
+        without = LexicalSemantics(LAZY_SPACE, load_semantics(directory, LAZY_SPACE).vectors,
+                                   {w: t for w, t in lex.tensors.items() if w != word})
+        for model in MODELS:
+            lazy = load_semantics(directory, LAZY_SPACE)
+            for pair in dataset:
+                got = _read_outcome(lambda: model_similarity(pair, model, lazy, LAZY_GRAMMAR))
+                scored = _outcome(lambda: model_similarity(pair, model, without, LAZY_GRAMMAR))
+                if model in ("add", "multiply", "weighted_add") and \
+                        word in pair.sentence_1 + pair.sentence_2 and isinstance(scored, float):
+                    assert got == failure
+                else:
+                    assert got in (failure, scored)
+            lazy = load_semantics(directory, LAZY_SPACE)
+            assert _read_outcome(lambda: run_experiment(dataset, [model], lazy, LAZY_GRAMMAR)) \
+                in (failure, _outcome(lambda: run_experiment(dataset, [model], without,
+                                                              LAZY_GRAMMAR)))
+        lazy = load_semantics(directory, LAZY_SPACE)
+        for lookup in (lazy.tensors.get, lazy.tensor, lazy.tensors.__getitem__):
+            with pytest.raises(type(refused.value)) as raised:
+                lookup(word)
+            assert str(raised.value) == failure[1]
