@@ -438,11 +438,15 @@ def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
     """Read a weight file, checking each row once: ``word<TAB>label<TAB>weight``
     rows if ``named``, else a tensor's, of the '#order' line's or the first row's
     order.  Return the order and each word's entries, a tensor's under the key
-    None; ``_reread`` takes the lines the loop cannot."""
+    None; ``_reread`` takes the lines the loop cannot.  A weight text met
+    again reuses the float first read from it while the memo has credit:
+    ``len(space)`` to start, one less per text stored, one more per repeat.
+    When none is left, the rest of the file costs one ``float`` per row."""
     index = space._index
     rows: dict = {} if named else {None: {}}
     word, entries = None, rows.get(None)
     order = 1 if named else None
+    floats, room = {}, len(space)  # weight text -> its finite float; the memo's credit
     with open_text(path) as handle:
         _check_header(handle, path, space)
         for lineno, line in enumerate(handle, 2):
@@ -467,7 +471,17 @@ def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
                     key = (index[a], index[b], index[c])
                 else:  # until a '#order' line or the first row sets it
                     raise KeyError(order)
-                w = float(text)
+                if not room:
+                    w = float(text)
+                elif (w := floats.get(text)) is not None:
+                    room += 1
+                else:
+                    w = float(text)
+                    if w - w == 0:
+                        floats[text] = w
+                        room -= 1
+                        if not room:  # off for the rest of the file: let the texts go
+                            floats.clear()
                 # w - w is nonzero only for inf and nan; no label starts with '#' as comments do
                 if key in entries or w - w:
                     raise KeyError(key)

@@ -1,14 +1,19 @@
 """Property tests: the fixed-width file loaders equal the row-by-row ones.
 
-``load_vectors`` and ``load_tensor`` read each row with one split, one
-lookup per label and one ``float``, and leave every line they cannot take
-to a checker.  Over random files mixing valid rows (zero weights
-included), words and first labels met again after other rows, blank
-lines, comments of every width, right, wrong and missing ``#order``
-lines, rows of the wrong width, unknown labels, duplicates, weights that
-are not finite numbers, bytes that are not UTF-8 and files with several
-faults or no final newline, both give the same result in the same order,
-or the same exception with the same message.
+``load_vectors`` and ``load_tensor`` read each row with one split and one
+lookup per label, and leave every line they cannot take to a checker.  A
+weight text met before reuses the float first read from it, while a memo
+of the file's texts has credit (``len(space)`` to start, one less per text
+stored, one more per repeat); otherwise a row costs one ``float``.  Over
+random files mixing valid rows (zero weights included), words and first
+labels met again after other rows, blank lines, comments of every width,
+right, wrong and missing ``#order`` lines, rows of the wrong width,
+unknown labels, duplicates, weights that are not finite numbers, bytes
+that are not UTF-8 and files with several faults or no final newline, both
+give the same result in the same order, or the same exception with the
+same message.  So do files whose weights come from a few texts, some of
+equal value, read in a space where the memo stays on and in one where it
+turns off mid-file; counting the loaders' ``float`` calls shows which.
 
 ``save_vectors`` and ``save_tensor`` order their rows by a precomputed rank
 of each basis index and repr each distinct weight once; they write the same
@@ -18,6 +23,7 @@ row by row.
 
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +35,7 @@ from oracles import (
     oracle_save_tensor,
     oracle_save_vectors,
 )
+from gramsem import vectorspace
 from gramsem.vectorspace import (
     BasisRegistry,
     SemTensor,
@@ -166,6 +173,140 @@ def test_the_files_reach_every_outcome(kind):
 
     collect()
     assert seen == {"ok", "ok, empty", *MARKERS[kind]}
+
+
+# Weight texts that repeat: equal values spelt three ways, both zeros, and a
+# "1e4" that the files may follow with an infinite "1e400".
+MEMO_TEXTS = ("1.5", "1.50", " 1.5", "-2.5", "0.0", "-0.0", "1e4", "7")
+# More credit than the texts (each twice, with and without a newline) can
+# spend, so the memo stays on; SPACE's 3 is spent within a file.
+BIG = BasisRegistry("s", tuple(f"l{i}" for i in range(40)))
+LOADERS = {
+    "collection": (load_vectors, oracle_load_vectors),
+    "tensor": (load_tensor, oracle_load_tensor),
+}
+
+
+@st.composite
+def repeating_files(draw, space, named):
+    """The bytes of a file whose weights are drawn from ``MEMO_TEXTS``: valid
+    rows over three labels, maybe one row again later (its text met by then),
+    maybe a "1e400" after a "1e4", maybe no final newline.  A tensor file has
+    its '#order' line, so no row is read before the memo is made."""
+    order = 1 if named else draw(st.sampled_from([1, 2, 3]))
+    labels = st.tuples(*[st.sampled_from(space.labels[:3])] * order)
+    words = st.sampled_from(["w", "v"] if named else [""])
+    keys = draw(st.lists(st.tuples(words, labels), min_size=1, max_size=20, unique=True))
+    rows = [[word, *key] if named else list(key) for word, key in keys]
+    lines = ["\t".join([*row, draw(st.sampled_from(MEMO_TEXTS))]) for row in rows]
+    first = next((n for n, line in enumerate(lines) if line.endswith("\t1e4")), len(lines))
+    if first < len(lines) - 1 and draw(st.booleans()):
+        n = draw(st.integers(first + 1, len(lines) - 1))
+        lines[n] = lines[n].rsplit("\t", 1)[0] + "\t1e400"
+    if draw(st.booleans()):
+        n = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(n + 1, len(lines))), lines[n])
+    header = [f"#space\t{space.name}\t{space.kind}", *[f"#order\t{order}"] * (not named)]
+    return ("\n".join(header + lines) + draw(st.sampled_from(["\n", ""]))).encode("utf-8")
+
+
+def counted(load, path, space):
+    """``outcome`` of ``load``, and how many times it called ``float``."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return float(text)
+
+    with mock.patch.object(vectorspace, "float", counting, create=True):
+        return outcome(load, path, space), len(calls)
+
+
+def written(directory, data):
+    path = os.path.join(directory, "f.tsv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("space", [BIG, SPACE], ids=["memo-stays-on", "memo-turns-off"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_repeated_weight_texts_load_as_one_float_per_row(kind, space, data):
+    load, oracle = LOADERS[kind]
+    with tempfile.TemporaryDirectory() as directory:
+        path = written(directory, data.draw(repeating_files(space, kind == "collection")))
+        new, old = outcome(load, path, space), outcome(oracle, path, space)
+    assert new[0] == old[0]
+    if old[0] != "ok":
+        assert new[1] == old[1]
+        return
+    new, old = new[1], old[1]
+    if kind == "tensor":
+        new, old = {None: new}, {None: old}
+    assert_same_vectors(new, old)
+    # reprs tell the two zeros apart, which == does not
+    assert [repr(t.entries) for t in new.values()] == [repr(t.entries) for t in old.values()]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_the_memo_turns_off_only_in_the_small_space(kind):
+    """Over the files above that load, the loader calls ``float`` once per
+    distinct weight text in ``BIG``, and more often in some file in ``SPACE``."""
+    load = LOADERS[kind][0]
+    extra = {BIG: set(), SPACE: set()}
+
+    for space in extra:
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @given(repeating_files(space, kind == "collection"))
+        def collect(data):
+            with tempfile.TemporaryDirectory() as directory:
+                (result, _), calls = counted(load, written(directory, data), space)
+            if result == "ok":
+                lines = data.decode("utf-8").splitlines(keepends=True)[1:]
+                texts = {line.rsplit("\t", 1)[1] for line in lines if line[0] != "#"}
+                extra[space].add(calls - len(texts))
+
+        collect()
+    assert extra[BIG] == {0}
+    assert max(extra[SPACE]) > 0
+
+
+def weight_file(directory, space, named, texts):
+    """A file whose rows have weights ``texts`` in turn: a collection with a
+    word per label, or an order-2 tensor; ``len(space) ** 2`` rows either way."""
+    keys = [f"w{a}\t{b}" if named else f"{a}\t{b}" for a in space.labels for b in space.labels]
+    rows = [f"{key}\t{text}\n" for key, text in zip(keys, texts, strict=True)]
+    header = f"#space\t{space.name}\t{space.kind}\n" + ("" if named else "#order\t2\n")
+    return written(directory, (header + "".join(rows)).encode())
+
+
+# With 4 labels the memo's credit is 4: 3 new texts leave it on for the rest
+# of the file, 4 or more spend it, and every later row calls float; a text
+# met twice in a row earns back the credit it cost, so 8 pairs leave it on.
+NEW = [f"{n}.5" for n in range(2, 10)]
+CREDIT_CASES = {
+    "3-new": (NEW[:3] + ["2.5"] * 13, 3),
+    "4-new": (NEW[:4] + ["2.5"] * 12, 16),
+    "5-new": (NEW[:5] + ["2.5"] * 11, 16),
+    "8-pairs": ([text for text in NEW for _ in range(2)], 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("texts, calls", CREDIT_CASES.values(), ids=CREDIT_CASES)
+def test_the_memo_turns_off_when_its_credit_is_spent(kind, texts, calls):
+    space = BasisRegistry("s", tuple("abcd"))
+    load, oracle = LOADERS[kind]
+    with tempfile.TemporaryDirectory() as directory:
+        path = weight_file(directory, space, kind == "collection", texts)
+        # a second load in the same process starts with an empty memo
+        for _ in range(2):
+            (result, value), made = counted(load, path, space)
+            assert result == "ok" and value == oracle(path, space)
+            assert made == calls
 
 
 # Labels whose sorted order is not the order they are drawn in, so the
