@@ -82,8 +82,9 @@ def _build_tensor(args, kind: str, word: str, records, builders, skipped_key: st
     counted under ``skipped_key``.
     """
     space = _space_from(args.basis, args.semantics_dir)
-    vectors = vectorspace.load_vectors(os.path.join(args.semantics_dir, "nouns.tsv"), space)
     occurrences = [nouns for head, nouns in records(args.triples) if head == word]
+    vectors = vectorspace.load_vectors(  # of the nouns the word occurs with
+        os.path.join(args.semantics_dir, "nouns.tsv"), space, set().union(*occurrences))
     if not occurrences:
         raise GramsemError(f"{kind} {word!r} does not occur in {args.triples}")
     arity = len(occurrences[0])
@@ -123,11 +124,11 @@ def cmd_build_adj(args) -> int:
 
 def cmd_sim(args) -> int:
     space = _space_from(args.basis, args.semantics_dir)
-    lex = composition.load_semantics(args.semantics_dir, space)
-    grammar = pregroup.load_lexicon(args.lexicon)
     pair = evaluation.SentencePair(
         "cli", tuple(args.sentence1.split()), tuple(args.sentence2.split())
     )
+    lex = composition.load_semantics(args.semantics_dir, space, pair.sentence_1 + pair.sentence_2)
+    grammar = pregroup.load_lexicon(args.lexicon)
     try:
         value = evaluation.model_similarity(pair, args.model, lex, grammar)
     except LexiconError as exc:  # a word lookup's message names no file
@@ -140,9 +141,10 @@ def cmd_eval(args) -> int:
     """A model whose correlation is undefined is reported and left out; ``--out``
     is written before anything is printed, and the run fails if no model scored."""
     space = _space_from(args.basis, args.semantics_dir)
-    lex = composition.load_semantics(args.semantics_dir, space)
-    grammar = pregroup.load_lexicon(args.lexicon)
     dataset = evaluation.read_dataset(args.dataset)
+    words = {word for pair in dataset for word in pair.sentence_1 + pair.sentence_2}
+    lex = composition.load_semantics(args.semantics_dir, space, words)
+    grammar = pregroup.load_lexicon(args.lexicon)
     try:
         report = evaluation.run_experiment(dataset, args.model or _ALL_MODELS, lex, grammar)
     except DatasetError as exc:

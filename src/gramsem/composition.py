@@ -15,7 +15,7 @@ import os
 from collections import UserDict
 from enum import Enum
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._value import Value
 from .errors import CompositionError, UngrammaticalError
@@ -107,26 +107,17 @@ class LexicalSemantics(Value):
         return t
 
     def tensor_order(self, word: str) -> int | None:
-        """The order of ``word``'s tensor, ``None`` if it has none.  A file not read yet is
-        read to its first row only, if that row has the width its '#order' line states."""
-        path = self.tensors.data.get(word)
-        if isinstance(path, str) and word not in self.tensors.orders:
-            with open_text(path) as handle:
-                _check_header(handle, path, self.space)
-                order = _ORDER_LINES.get(handle.readline().rstrip("\n"))
-                if handle.readline().count("\t") == order:  # that many labels and a weight
-                    self.tensors.orders[word] = order
-        if word in self.tensors.orders:
-            return self.tensors.orders[word]
-        return self.tensors[word].order if word in self.tensors else None
+        """The order of ``word``'s tensor, ``None`` if it has none; no file is read."""
+        return self.tensors.orders.get(word)
 
 
 class _TensorFiles(UserDict):
     """Word -> tensor, or the path of a file that ``load_tensor`` reads when the
-    word is first looked up; ``orders`` keeps the orders read from first lines."""
+    word is first looked up; ``orders`` holds each word's order."""
 
-    def __init__(self, space: BasisRegistry, data: dict[str, SemTensor | str]):
-        self.space, self.data, self.orders = space, data, {}
+    def __init__(self, space: BasisRegistry, data: dict[str, SemTensor]):
+        self.space, self.data = space, data
+        self.orders = {word: t.order for word, t in data.items()}
 
     def __getitem__(self, word: str) -> SemTensor:
         value = self.data[word]
@@ -374,12 +365,16 @@ def truth_meaning(m: SentenceMeaning) -> SentenceMeaning:
 # ---------------------------------------------------------------------------
 
 
-def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> LexicalSemantics:
-    """Read ``nouns.tsv`` and list the tensor files, refusing a word with two.  A tensor
-    file is read, and checked in full, when a query first needs its rows; see ``tensor_order``."""
+def load_semantics(
+    directory: str | os.PathLike, space: BasisRegistry, words: Iterable[str] | None = None
+) -> LexicalSemantics:
+    """Read ``nouns.tsv``, keeping only the vectors of ``words`` if given, and list the
+    tensor files, refusing a word with two.  Each file's header, '#order' line and first
+    row are read now; if that row has the stated width, the file is read, and checked in
+    full, when a query first needs its rows, else it is read now."""
     directory = os.fspath(directory)
-    vectors = load_vectors(os.path.join(directory, "nouns.tsv"), space)
-    lex = LexicalSemantics(space, vectors, {})
+    nouns = os.path.join(directory, "nouns.tsv")
+    lex = LexicalSemantics(space, load_vectors(nouns, space, words), {})
     for sub in ("verbs", "adjectives"):
         folder = os.path.join(directory, sub)
         if not os.path.isdir(folder):
@@ -393,5 +388,14 @@ def load_semantics(directory: str | os.PathLike, space: BasisRegistry) -> Lexica
                 raise CompositionError(
                     f"{path}: duplicate tensor definition for {word!r}, also in {first}"
                 )
-            lex.tensors.data[word] = path  # read by the first lookup of word
+            with open_text(path) as handle:
+                _check_header(handle, path, space, nouns)
+                order = _ORDER_LINES.get(handle.readline().rstrip("\n"))
+                row = handle.readline()
+            if row.count("\t") == order:  # a row of the stated width: read on first use
+                lex.tensors.data[word] = path
+            else:  # a missing or misstated '#order' line: load_tensor finds the order or the fault
+                lex.tensors.data[word] = tensor = load_tensor(path, space)
+                order = tensor.order
+            lex.tensors.orders[word] = order
     return lex

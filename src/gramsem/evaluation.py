@@ -184,8 +184,9 @@ def model_similarity(
     ``memo`` is a dict that calls for one ``lex`` and ``grammar`` share, as
     one model's pairs in ``run_experiment`` do: it keeps each sentence's verb,
     each folded sentence vector (keyed by model, words, ``alpha`` and
-    ``beta``) and each ordered verb pair's cosine.  The composed meanings
-    of the categorical model are not kept.
+    ``beta``) and each ordered verb pair's cosine.  Of the categorical
+    model's composed meanings it keeps only the last pair's two, unpadded:
+    a sentence that pair shares with the next reuses its meaning and norm.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
@@ -197,7 +198,11 @@ def model_similarity(
     s1, s2 = pair.sentence_1, pair.sentence_2
     try:
         if model == "categorical":
-            m1, m2 = align_orders(*(compose_sentence(s, lex, grammar) for s in (s1, s2)))
+            last = memo.get("meanings", {})
+            meanings = {s: last.get(s) or compose_sentence(s, lex, grammar)
+                        for s in dict.fromkeys((s1, s2))}
+            memo["meanings"] = meanings
+            m1, m2 = align_orders(meanings[s1], meanings[s2])
             return cosine(m1.value, m2.value)
         if model == "verb_baseline":
             v1 = _the_verb(s1, grammar, memo)

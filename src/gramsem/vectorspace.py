@@ -221,15 +221,17 @@ def inner(v: SemTensor, w: SemTensor) -> float:
     exactly symmetric in its arguments.
     """
     _check_same_space(v, w)
-    common = v.entries.keys() & w.entries.keys()
-    return sum(v.entries[k] * w.entries[k] for k in sorted(common))
+    a, b = v.entries, w.entries
+    keys = sorted(a.keys() & b.keys())
+    return sum(map(operator.mul, map(a.__getitem__, keys), map(b.__getitem__, keys)))
 
 
 def norm(v: SemTensor) -> float:
     """Euclidean length sqrt(<v, v>), computed once per value and kept with it."""
     length = v.__dict__.get("_norm")
     if length is None:
-        length = v.__dict__["_norm"] = math.sqrt(sum(w * w for _, w in sorted(v.entries.items())))
+        weights = list(map(v.entries.__getitem__, sorted(v.entries)))
+        length = v.__dict__["_norm"] = math.sqrt(sum(map(operator.mul, weights, weights)))
     return length
 
 
@@ -415,13 +417,13 @@ def _undecodable(path: str | os.PathLike, error: type[GramsemError]) -> GramsemE
     return error(f"{path}: not valid UTF-8")
 
 
-def _check_header(handle, path: str | os.PathLike, space: BasisRegistry) -> None:
-    """Read a file's first line, which must be the '#space' header naming ``space``."""
+def _check_header(handle, path: str | os.PathLike, space: BasisRegistry, of: str = "") -> None:
+    """Read a file's first line, which must be the '#space' header naming ``space``,
+    the space of the file ``of`` if one is named."""
     header = handle.readline().rstrip("\n").split("\t")
     if header != ["#space", space.name, space.kind]:
-        raise FileFormatError(
-            f"{path}:1: header {' '.join(header)!r} is not '#space {space.name} {space.kind}'"
-        )
+        raise FileFormatError(f"{path}:1: header {' '.join(header)!r} is not "
+                              f"'#space {space.name} {space.kind}'{of and ' of '}{of}")
 
 
 def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
@@ -434,17 +436,20 @@ def _weight(text: str, path: str | os.PathLike, lineno: int) -> float:
     return w
 
 
-def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
+def _read_rows(path, space: BasisRegistry, named: bool, words=None) -> tuple[int, dict]:
     """Read a weight file, checking each row once: ``word<TAB>label<TAB>weight``
     rows if ``named``, else a tensor's, of the '#order' line's or the first row's
     order.  Return the order and each word's entries, a tensor's under the key
     None; ``_reread`` takes the lines the loop cannot.  A weight text met
     again reuses the float first read from it while the memo has credit:
     ``len(space)`` to start, one less per text stored, one more per repeat.
-    When none is left, the rest of the file costs one ``float`` per row."""
+    When none is left, the rest of the file costs one ``float`` per row.
+    Given ``words``, a collection keeps only their entries; another word's are
+    held until its rows end.  If they start again after another word's, the
+    file is read again, keeping every word, so a duplicate is still found."""
     index = space._index
     rows: dict = {} if named else {None: {}}
-    word, entries = None, rows.get(None)
+    word, entries = None, rows.get(None, {})  # a collection's first row sets both
     order = 1 if named else None
     floats, room = {}, len(space)  # weight text -> its finite float; the memo's credit
     with open_text(path) as handle:
@@ -458,7 +463,11 @@ def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
                     if this != word:
                         if this[:1] == "#":
                             continue
-                        word, entries = this, rows.setdefault(this, {})
+                        if words is not None and word not in words:
+                            rows[word] = None  # its rows have ended: let its entries go
+                        if (entries := rows.setdefault(this, {})) is None:
+                            break  # a word let go starts again: read again below
+                        word = this
                     key = index[a]
                 elif order == 2:
                     a, b, text = line.split("\t")
@@ -489,9 +498,11 @@ def _read_rows(path, space: BasisRegistry, named: bool) -> tuple[int, dict]:
                 order = _reread(path, lineno, line, space, named, order, rows)
                 continue
             entries[key] = w
+    if entries is None:  # outside the loop's try, as a FileFormatError is a ValueError
+        rows = _read_rows(path, space, named)[1]
     if order is None:
         raise FileFormatError(f"{path}: cannot infer order of an empty tensor file")
-    return order, rows
+    return order, rows if words is None else {w: e for w, e in rows.items() if w in words}
 
 
 def _reread(path, lineno: int, line: str, space, named: bool, order: int | None, rows) -> int | None:
@@ -588,7 +599,10 @@ def save_vectors(
     _write_rows(path, space, "", range(len(space)), values)
 
 
-def load_vectors(path: str | os.PathLike, space: BasisRegistry) -> dict[str, SemTensor]:
-    """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once."""
-    _, rows = _read_rows(path, space, True)
+def load_vectors(
+    path: str | os.PathLike, space: BasisRegistry, words: Iterable[str] | None = None
+) -> dict[str, SemTensor]:
+    """Read a ``word<TAB>label<TAB>weight`` collection, checking each row once;
+    given ``words``, keep only their vectors."""
+    _, rows = _read_rows(path, space, True, None if words is None else set(words))
     return {word: SemTensor._trusted(space, 1, _nonzero(ws)) for word, ws in rows.items()}

@@ -161,6 +161,40 @@ def oracle_pad(t, order):
     return padded, math.sqrt(sum(w * w for _, w in sorted(padded.entries.items())))
 
 
+# --- inner product, norm and cosine as written before, one tuple per entry ----------
+
+
+def oracle_inner(v, w):
+    """Products over the shared keys, summed in sorted key order."""
+    common = v.entries.keys() & w.entries.keys()
+    return sum(v.entries[k] * w.entries[k] for k in sorted(common))
+
+
+def oracle_norm(v):
+    """Squares summed in sorted key order, then the square root."""
+    return math.sqrt(sum(w * w for _, w in sorted(v.entries.items())))
+
+
+def oracle_cosine(v, w):
+    """``cosine``'s steps through the two functions above: zero and equal
+    operands by convention, and each operand scaled into [0.5, 1) by a power
+    of two when a norm lies outside [2**-450, 2**450]."""
+    if not v.entries or not w.entries:
+        return 0.0
+    if v.entries == w.entries:
+        return 1.0
+    nv, nw = oracle_norm(v), oracle_norm(w)
+    if not (2.0**-450 <= nv <= 2.0**450 and 2.0**-450 <= nw <= 2.0**450):
+        scaled = []
+        for x in (v, w):
+            shift = math.frexp(max(abs(a) for a in x.entries.values()))[1]
+            entries = {k: math.ldexp(a, -shift) for k, a in keyed_by_tuples(x).items()}
+            scaled.append(SemTensor(x.space, x.order, entries))
+        v, w = scaled
+        nv, nw = oracle_norm(v), oracle_norm(w)
+    return max(-1.0, min(1.0, oracle_inner(v, w) / (nv * nw)))
+
+
 # --- window counting by its definition ------------------------------------------
 
 

@@ -566,10 +566,10 @@ def tensor_reads(monkeypatch):
 
     reads, read_rows = [], vectorspace._read_rows
 
-    def counted(path, space, named):
+    def counted(path, space, named, words=None):
         if not named:
             reads.append(os.path.basename(path))
-        return read_rows(path, space, named)
+        return read_rows(path, space, named, words)
 
     monkeypatch.setattr(vectorspace, "_read_rows", counted)
     return reads
@@ -642,9 +642,124 @@ def test_a_fault_in_a_tensor_file_no_query_needs_ends_nothing(benchmark_files, t
     assert err == f"gramsem: {bill}:{lineno}: label 'nope' not in space 'N'\n"
 
 
+def military(paths, directory):
+    """The dataset's first twelve rows, whose sentences hold no word of the
+    'bill' sense's nouns (client, clinic ...), written under ``directory``."""
+    lines = open(paths["dataset"], encoding="utf-8").readlines()[:12]
+    (directory / "military.tsv").write_text("".join(lines), encoding="utf-8")
+    return str(directory / "military.tsv")
+
+
+def unused_noun(paths, dataset):
+    """A word of nouns.tsv, with more than one row, that neither the sentences
+    of ``dataset`` nor the arguments of storm's triples hold: no command below keeps it."""
+    used = set()
+    for line in open(dataset, encoding="utf-8"):
+        used.update(" ".join(line.split("\t")[1:3]).split())
+    for line in open(paths["triples"], encoding="utf-8"):
+        subject, verb, *objects = line.rstrip("\n").split("\t")
+        if verb == "storm":
+            used.update([subject, *objects])
+    rows = open(os.path.join(paths["semantics"], "nouns.tsv"), encoding="utf-8").readlines()[1:]
+    words = [row.split("\t")[0] for row in rows]
+    return next(w for w in dict.fromkeys(words) if w not in used and words.count(w) > 1)
+
+
+def nouns_commands(paths, dataset, sem, out):
+    """sim under each model, eval of ``dataset`` and build-verb storm on the semantics ``sem``."""
+    files = ["--basis", paths["basis"], "--semantics-dir", str(sem)]
+    sims = [["sim", "knight charge enemy", "knight storm enemy", "--lexicon", paths["lexicon"],
+             *files, "--model", model] for model in ("categorical", "add", "verb_baseline")]
+    return [*sims,
+            ["eval", "--dataset", dataset, "--lexicon", paths["lexicon"], *files,
+             "--out", str(out / "report.tsv")],
+            ["build-verb", "storm", "--triples", paths["triples"], *files,
+             "--out", str(out / "storm.tsv")]]
+
+
+def test_splitting_an_unused_words_rows_changes_no_output(benchmark_files, tmp_path, capsys,
+                                                          monkeypatch):
+    # Each command keeps only the vectors of the words it uses.  Its rows
+    # split around another word's, the unused word is met again after its
+    # vector was let go, and nouns.tsv is read once more, keeping every word.
+    from gramsem import vectorspace
+
+    _, paths = benchmark_files
+    dataset = military(paths, tmp_path)
+    word = unused_noun(paths, dataset)
+    sem = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], sem)
+    nouns = sem / "nouns.tsv"
+    lines = nouns.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = next(line for line in lines if line.startswith(f"{word}\t"))
+    lines.remove(first)
+    nouns.write_text("".join(lines + [first]), encoding="utf-8")
+    reads, read_rows = [], vectorspace._read_rows
+
+    def counted(path, space, named, words=None):
+        if named:
+            reads.append(words)
+        return read_rows(path, space, named, words)
+
+    monkeypatch.setattr(vectorspace, "_read_rows", counted)
+    outputs = []
+    for k, directory in enumerate((paths["semantics"], sem)):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        runs = [run(capsys, *argv) for argv in nouns_commands(paths, dataset, directory, out)]
+        runs = [(code, stdout, err.replace(str(out), "OUT")) for code, stdout, err in runs]
+        files = {name: (out / name).read_bytes() for name in ("report.tsv", "storm.tsv")}
+        outputs.append((runs, files))
+        assert all(code == 0 for code, _, _ in runs)
+        # each command keeps its words; of the split file, it reads all once more
+        assert [words is None for words in reads] == [False, *[True] * k] * len(runs)
+        assert not any(word in words for words in reads if words is not None)
+        reads.clear()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", range(5), ids=["sim-categorical", "sim-add",
+                                                    "sim-verb_baseline", "eval", "build-verb"])
+def test_a_bad_row_of_a_word_no_command_keeps_ends_it(benchmark_files, tmp_path, capsys, command):
+    _, paths = benchmark_files
+    dataset = military(paths, tmp_path)
+    word = unused_noun(paths, dataset)
+    sem = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], sem)
+    nouns = sem / "nouns.tsv"
+    lines = nouns.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = max(n for n, line in enumerate(lines, 1) if line.startswith(f"{word}\t")) + 1
+    lines.insert(lineno - 1, f"{word}\tnope\t1.0\n")  # among the word's own rows
+    nouns.write_text("".join(lines), encoding="utf-8")
+    argv = nouns_commands(paths, dataset, sem, tmp_path)[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {nouns}:{lineno}: label 'nope' not in space 'N'\n"
+    assert not os.path.exists(tmp_path / "report.tsv") and not os.path.exists(tmp_path / "storm.tsv")
+
+
+@pytest.mark.parametrize("command", ["add", "categorical", "eval"])
+def test_a_nouns_header_naming_another_space_fails_at_load(toy_world, capsys, command):
+    # the space comes from nouns.tsv's header; a tensor file of the basis's
+    # own space is then refused when the directory is loaded, naming both files
+    nouns, chase = toy_world / "sem" / "nouns.tsv", toy_world / "sem" / "verbs" / "chase.tsv"
+    lines = nouns.read_text(encoding="utf-8").splitlines(keepends=True)
+    nouns.write_text("".join(["#space\txyz\tstructured\n", *lines[1:]]), encoding="utf-8")
+    if command == "eval":
+        code, out, err = query(capsys, toy_world, "eval")
+    else:
+        code, out, err = run(capsys, "sim", "dogs", "cats", "--model", command,
+                             "--lexicon", str(toy_world / "lexicon.tsv"),
+                             "--basis", str(toy_world / "basis.txt"),
+                             "--semantics-dir", str(toy_world / "sem"))
+    assert (code, out) == (1, "")
+    assert err == (f"gramsem: {chase}:1: header '#space toy structured' is not"
+                   f" '#space xyz structured' of {nouns}\n")
+
+
 @pytest.mark.parametrize("model", ["add", "categorical", "verb_baseline"])
 def test_a_tensor_header_naming_another_space_fails_every_model(toy_world, capsys, model):
-    # the folding models read a file only to its first row, and still check its header
+    # load_semantics checks every tensor file's header against nouns.tsv's and names both
     chase = toy_world / "sem" / "verbs" / "chase.tsv"
     lines = chase.read_text(encoding="utf-8").splitlines(keepends=True)
     chase.write_text("".join(["#space\tother\tstructured\n", *lines[1:]]), encoding="utf-8")
@@ -654,7 +769,7 @@ def test_a_tensor_header_naming_another_space_fails_every_model(toy_world, capsy
                          "--semantics-dir", str(toy_world / "sem"))
     assert (code, out) == (1, "")
     assert err == (f"gramsem: {chase}:1: header '#space other structured' is not"
-                   " '#space toy structured'\n")
+                   f" '#space toy structured' of {toy_world / 'sem' / 'nouns.tsv'}\n")
 
 
 def test_sim_on_structured_toy_space(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fixtures import save_semantics
 from oracles import oracle_load_semantics, oracle_ranks, oracle_spearman
 from gramsem.benchmark import two_sense_benchmark
-from gramsem.composition import LexicalSemantics, load_semantics
+from gramsem.composition import LexicalSemantics, compose_sentence, load_semantics
 from gramsem.errors import (
     CompositionError, DegenerateDataError, FileFormatError, UngrammaticalError,
 )
@@ -490,6 +490,34 @@ def test_verb_baseline_scores_each_ordered_verb_pair_once(world, monkeypatch):
     assert len(calls) == len(verb_pairs)
 
 
+def test_categorical_reuses_the_meanings_of_the_last_pair(world, monkeypatch):
+    # The dataset pairs each target sentence with two landmarks in a row, so
+    # the second pair of each composes only its landmark; the memo keeps the
+    # last pair's meanings alone, and the report equals one without it.
+    import gramsem.evaluation as evaluation
+
+    calls = []
+
+    def counted(words, *args):
+        calls.append(words)
+        return compose_sentence(words, *args)
+
+    pairs = list({row.pair_id: row for row in world.dataset}.values())
+    expected, last = [], ()
+    for pair in pairs:
+        sentences = (pair.sentence_1, pair.sentence_2)
+        expected += [s for s in dict.fromkeys(sentences) if s not in last]
+        last = sentences
+    assert len(expected) < 2 * len(pairs)
+    fresh = [model_similarity(pair, "categorical", world.lex, world.grammar) for pair in pairs]
+    monkeypatch.setattr(evaluation, "compose_sentence", counted)
+    memo = {}
+    for pair, score in zip(pairs, fresh):
+        assert model_similarity(pair, "categorical", world.lex, world.grammar, memo=memo) == score
+        assert list(memo["meanings"]) == list(dict.fromkeys((pair.sentence_1, pair.sentence_2)))
+    assert calls == expected
+
+
 # --- one call scores every model --------------------------------------------------------
 
 # 'nap' has no tensor, so the categorical model cannot compose it
@@ -651,39 +679,17 @@ def test_tensors_read_on_first_use_score_as_the_eager_loader(world, rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(world=lazy_worlds(misstated=True), rows=LAZY_ROWS)
-def test_a_misstated_order_line_fails_as_in_the_eager_loader(world, rows):
-    # The eager loader refuses the directory.  Read on first use, the file
-    # fails each query that looks its word up with the same message; any
-    # other query scores as if the word had no tensor.  The folding models
-    # ask for the order of each word but the nouns, and the file's first row
-    # contradicts its '#order' line, so they fail on each pair that has it.
-    lex, _, _, stated = world
-    [word] = stated
-    dataset = lazy_dataset(rows)
+@given(world=lazy_worlds(misstated=True))
+def test_a_misstated_order_line_fails_as_in_the_eager_loader(world):
+    # load_semantics reads each tensor file's '#order' line and first row, and
+    # reads at once a file whose first row contradicts that line: it refuses
+    # the directory with the file's path:line error, as the eager loader does.
     with tempfile.TemporaryDirectory() as directory:
         write_lazy_world(directory, *world)
-        with pytest.raises(FileFormatError) as refused:
+        with pytest.raises(FileFormatError) as eager:
             oracle_load_semantics(directory, LAZY_SPACE)
-        failure = (type(refused.value), str(refused.value))
-        without = LexicalSemantics(LAZY_SPACE, load_semantics(directory, LAZY_SPACE).vectors,
-                                   {w: t for w, t in lex.tensors.items() if w != word})
-        for model in MODELS:
-            lazy = load_semantics(directory, LAZY_SPACE)
-            for pair in dataset:
-                got = _read_outcome(lambda: model_similarity(pair, model, lazy, LAZY_GRAMMAR))
-                scored = _outcome(lambda: model_similarity(pair, model, without, LAZY_GRAMMAR))
-                if model in ("add", "multiply", "weighted_add") and \
-                        word in pair.sentence_1 + pair.sentence_2 and isinstance(scored, float):
-                    assert got == failure
-                else:
-                    assert got in (failure, scored)
-            lazy = load_semantics(directory, LAZY_SPACE)
-            assert _read_outcome(lambda: run_experiment(dataset, [model], lazy, LAZY_GRAMMAR)) \
-                in (failure, _outcome(lambda: run_experiment(dataset, [model], without,
-                                                              LAZY_GRAMMAR)))
-        lazy = load_semantics(directory, LAZY_SPACE)
-        for lookup in (lazy.tensors.get, lazy.tensor, lazy.tensors.__getitem__):
-            with pytest.raises(type(refused.value)) as raised:
-                lookup(word)
-            assert str(raised.value) == failure[1]
+        with pytest.raises(FileFormatError) as lazy:
+            load_semantics(directory, LAZY_SPACE)
+    [word] = world[3]
+    assert f"{word}.tsv:3: " in str(eager.value)
+    assert (type(lazy.value), str(lazy.value)) == (type(eager.value), str(eager.value))

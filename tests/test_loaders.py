@@ -14,6 +14,10 @@ give the same result in the same order, or the same exception with the
 same message.  So do files whose weights come from a few texts, some of
 equal value, read in a space where the memo stays on and in one where it
 turns off mid-file; counting the loaders' ``float`` calls shows which.
+Given a set of words, ``load_vectors`` returns the full load's result
+filtered to them, in the same order, or fails as the full load does: it
+still checks every row.  A word let go whose rows start again after
+another word's makes it read the file again, keeping every word.
 
 ``save_vectors`` and ``save_tensor`` order their rows by a precomputed rank
 of each basis index and repr each distinct weight once; they write the same
@@ -140,6 +144,66 @@ def test_load_tensor_equals_the_row_by_row_loader(data):
         assert all(type(w) is float for w in new[1].entries.values())
     else:
         assert new[1] == old[1]
+
+
+def filtered(loaded, words):
+    return loaded if loaded[0] != "ok" else ("ok", {w: v for w, v in loaded[1].items() if w in words})
+
+
+@SETTINGS
+@given(files(("w", "v", "u", "#w", "")), st.sets(st.sampled_from(("w", "v", "u", "#w", "", "x"))))
+def test_load_vectors_of_some_words_equals_the_full_load_filtered(data, words):
+    # Every row is checked, whichever words are kept: a file the full load
+    # refuses is refused with the same message.
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "nouns.tsv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        new = outcome(load_vectors, path, SPACE, words)
+        old = filtered(outcome(oracle_load_vectors, path, SPACE), words)
+    assert new[0] == old[0]
+    if old[0] == "ok":
+        assert_same_vectors(new[1], old[1])
+    else:
+        assert new[1] == old[1]
+
+
+def read_rows_calls(monkeypatch):
+    """The ``words`` argument of each ``vectorspace._read_rows`` call, in order."""
+    calls, read_rows = [], vectorspace._read_rows
+
+    def counted(path, space, named, words=None):
+        calls.append(words)
+        return read_rows(path, space, named, words)
+
+    monkeypatch.setattr(vectorspace, "_read_rows", counted)
+    return calls
+
+
+SPLIT = {
+    # case: (rows after the header, words kept, full reads after the first)
+    "grouped": (["v\ta\t1", "v\tb\t2", "w\ta\t3"], {"w"}, 0),
+    "kept word split": (["w\ta\t1", "v\ta\t2", "w\tb\t3"], {"w"}, 0),
+    "dropped word split": (["v\ta\t1", "w\ta\t2", "v\tb\t3"], {"w"}, 1),
+    "dropped word split, then a duplicate": (["v\ta\t1", "w\ta\t2", "v\ta\t3"], {"w"}, 1),
+    "dropped word split, then a bad row": (["v\ta\t1", "w\ta\t2", "v\tb\t3", "u\tz\t1"],
+                                           {"w"}, 1),
+    "only comments": (["#c\ta\t1", ""], {"w"}, 0),
+}
+
+
+@pytest.mark.parametrize("rows, words, again", SPLIT.values(), ids=SPLIT)
+def test_a_dropped_word_met_again_reads_the_file_again(monkeypatch, rows, words, again):
+    # The rows of a word that is not kept are let go when its rows end; if
+    # they start again, one more read keeping every word finds what a
+    # duplicate check over that word's rows would.
+    calls = read_rows_calls(monkeypatch)
+    with tempfile.TemporaryDirectory() as directory:
+        path = written(directory, "\n".join([f"#space\t{SPACE.name}\tplain", *rows]).encode())
+        new = outcome(load_vectors, path, SPACE, words)
+        old = filtered(outcome(oracle_load_vectors, path, SPACE), words)
+    assert calls == [words] + [None] * again
+    assert new == old
 
 
 # a fragment of each error message a loader can raise

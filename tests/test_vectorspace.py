@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gramsem
+from oracles import oracle_cosine, oracle_inner, oracle_norm
 from gramsem.errors import FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
     PLAIN,
@@ -196,6 +197,47 @@ def test_cosine_is_unchanged_by_a_power_of_two(v, w, e):
     # miss by an ulp: only pairs that go through the computation are compared
     assume(v.entries != w.entries and scaled.entries != w.entries)
     assert cosine(scaled, w) == cosine(v, w)
+
+
+# Weights whose squares overflow or underflow, subnormals among them, so that
+# cosine rescales its operands, and ordinary ones.
+EXTREME = st.one_of(
+    st.sampled_from([1e200, -3e200, 1e-200, 3e-200, -5e-324, 2.0**-1074 * 3]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tensor_pairs(draw):
+    order = draw(st.sampled_from([1, 2, 3]))
+    key = st.tuples(*[st.integers(0, 2)] * order)
+    v, w = (SemTensor(SPACE3, order, draw(st.dictionaries(key, EXTREME, max_size=8)))
+            for _ in range(2))
+    return v, w
+
+
+@settings(max_examples=500, deadline=None)
+@given(tensor_pairs())
+def test_inner_norm_and_cosine_equal_the_tuple_oracles_bitwise(pair):
+    # the type and repr tell every float apart, -0.0 from 0.0 too, and the
+    # int 0 that a sum over no shared keys gives from either
+    v, w = pair
+    for new, old in [(inner(v, w), oracle_inner(v, w)), (norm(v), oracle_norm(v)),
+                     (cosine(v, w), oracle_cosine(v, w))]:
+        assert (type(new), repr(new)) == (type(old), repr(old))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_the_oracle_pairs_reach_the_rescaled_cosine(order):
+    # an order-``order`` pair whose norms leave [2**-450, 2**450], and its
+    # score, which holds only if the operands were rescaled first
+    keys = [(0,) * order, (1,) * order]
+    v = SemTensor(SPACE3, order, dict(zip(keys, [1e200, 3e200])))
+    w = SemTensor(SPACE3, order, dict(zip(keys, [3e-200, 1e-200])))
+    assert not 2.0**-450 <= norm(v) <= 2.0**450 and not 2.0**-450 <= norm(w) <= 2.0**450
+    assert repr(cosine(v, w)) == repr(oracle_cosine(v, w))
+    assert cosine(v, w) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_kronecker_examples():
