@@ -49,25 +49,22 @@ def cmd_build_nouns(args) -> int:
     space = corpus.read_basis(args.basis, name=_SPACE_NAME, kind=vectorspace.PLAIN)
     if not space.labels:
         raise GramsemError(f"basis file {args.basis} is empty")
+    # One pass, counting each document as it is read, so the corpus may be a pipe.
     documents = corpus.read_corpus(args.corpus)
-    if not documents:
+    acc = corpus.count_cooccurrence(documents, None, space, window=args.window)
+    if acc.doc_count == 0:
         raise GramsemError(f"corpus file {args.corpus} has no documents")
     # A word starting with '#' would read back as a comment row of nouns.tsv.
-    targets = set().union(*documents)
-    hashed = {word for word in targets if word[0] == "#"}
-    targets = sorted(targets - hashed)  # the set of every token is freed here
-    acc = corpus.count_cooccurrence(documents, targets, space, window=args.window)
-    n_documents = len(documents)
-    del documents  # counted; the counts go too once weighted: no command holds more memory
+    hashed = [word for word in acc.counts if word[0] == "#"]
+    for word in hashed:
+        del acc.counts[word]
     vectors = corpus.tfidf(acc) if args.weighting == "tfidf" else corpus.raw_vectors(acc)
-    del acc
     out = args.out or "nouns.tsv"
-    vectorspace.save_vectors(out, vectors, space)
+    written = vectorspace.save_vectors(out, vectors, space)  # weighs one word at a time
     # A target with no nonzero weight writes no row: later commands treat it
     # as out of vocabulary, so say how many there were.
-    zero = len(targets) - sum(1 for v in vectors.values() if not v.is_zero())
-    _summary(documents=n_documents, targets=len(targets), zero_vectors=zero, written=out,
-             hash_words=len(hashed))
+    _summary(documents=acc.doc_count, targets=len(acc.counts),
+             zero_vectors=len(acc.counts) - written, written=out, hash_words=len(hashed))
     return 0
 
 

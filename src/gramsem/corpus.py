@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import _count_elements, defaultdict
-from typing import Iterable, Sequence
+from collections.abc import Mapping
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import FileFormatError
@@ -77,7 +78,7 @@ class CountAccumulator(Value):
 
 def count_cooccurrence(
     documents: Iterable[Sequence[str]],
-    targets: Iterable[str],
+    targets: Iterable[str] | None,
     basis: BasisRegistry,
     window: int = 5,
 ) -> CountAccumulator:
@@ -86,13 +87,14 @@ def count_cooccurrence(
     Windows never cross document boundaries; the occurrence position itself
     is excluded.  Tokens that are neither targets nor basis words are
     ignored.  Document frequencies count, per basis word, the number of
-    documents it occurs in at all.
+    documents it occurs in at all.  With ``targets`` None every token is a
+    target, and one that saw no basis word keeps an empty row.
     """
     if basis.kind != PLAIN:
         raise ValueError("co-occurrence counting needs a plain basis")
     if window < 1:
         raise ValueError("window must be >= 1")
-    target_set = set(targets)
+    target_set = None if targets is None else set(targets)
     index_of = basis._index.get
     rows: defaultdict[str, dict] = defaultdict(dict)
     acc = CountAccumulator(basis)
@@ -103,14 +105,14 @@ def count_cooccurrence(
         ids = list(map(index_of, tokens))
         _count_elements(acc.doc_frequency, set(ids))
         for position, token in enumerate(tokens):
-            if token in target_set:
+            if target_set is None or token in target_set:
                 lo = position - window if position > window else 0
                 span = ids[lo:position + window + 1]
                 del span[position - lo]
                 _count_elements(rows[token], span)  # Counter.update's C core, minus its frame
     for token, row in rows.items():
         row.pop(None, None)
-        if row:
+        if row or target_set is None:
             acc.counts[token] = row
     acc.doc_frequency.pop(None, None)
     return acc
@@ -159,20 +161,35 @@ def count_properties(
     return acc
 
 
-def raw_vectors(acc: CountAccumulator) -> dict[str, SemTensor]:
+class _Weighted(Mapping):
+    """Each target's vector, weighed from its count row when it is looked up.
+    A lookup reads the accumulator as it is at that moment."""
+
+    def __init__(self, acc: CountAccumulator, weigh: Callable[[dict], dict]):
+        self.acc, self.weigh = acc, weigh
+
+    def __getitem__(self, target: str) -> SemTensor:
+        return SemTensor._trusted(self.acc.space, 1, _kept(self.weigh(self.acc.counts[target])))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.acc.counts)
+
+    def __len__(self) -> int:
+        return len(self.acc.counts)
+
+
+def raw_vectors(acc: CountAccumulator) -> Mapping[str, SemTensor]:
     """Raw counts as vector weights."""
-    return {
-        target: SemTensor._trusted(acc.space, 1, _kept({i: float(c) for i, c in row.items()}))
-        for target, row in acc.counts.items()
-    }
+    return _Weighted(acc, lambda row: {i: float(c) for i, c in row.items()})
 
 
-def tfidf(acc: CountAccumulator) -> dict[str, SemTensor]:
+def tfidf(acc: CountAccumulator) -> Mapping[str, SemTensor]:
     """TF/IDF weighting: count * ln(doc_count / doc_frequency).
 
     The natural-log variant is used throughout so reported numbers are
     reproducible; a basis word seen in every document weighs zero, and one
-    never seen at all also weighs zero.
+    never seen at all also weighs zero.  The idf table is built here, from
+    the document frequencies as they are now.
     """
     if acc.doc_count < 1:
         raise ValueError("tfidf needs at least one counted document")
@@ -180,11 +197,7 @@ def tfidf(acc: CountAccumulator) -> dict[str, SemTensor]:
         i: math.log(acc.doc_count / df) if df > 0 else 0.0
         for i, df in acc.doc_frequency.items()
     }
-    out: dict[str, SemTensor] = {}
-    for target, row in acc.counts.items():
-        weights = {i: c * idf.get(i, 0.0) for i, c in row.items()}
-        out[target] = SemTensor._trusted(acc.space, 1, _kept(weights))
-    return out
+    return _Weighted(acc, lambda row: {i: c * idf.get(i, 0.0) for i, c in row.items()})
 
 
 def build_verb_tensor(
@@ -226,15 +239,22 @@ def build_adjective_tensor(
 # ---------------------------------------------------------------------------
 
 
-def read_corpus(path) -> list[list[str]]:
-    documents = []
-    seen: dict[str, str] = {}  # one string object per distinct token
-    with open_text(path) as handle:
-        for line in handle:
-            tokens = line.split()
-            if tokens:
-                documents.append(list(map(seen.setdefault, tokens, tokens)))
-    return documents
+class _Documents:
+    """A corpus file's documents, read from the file again at each pass."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __iter__(self) -> Iterator[list[str]]:
+        with open_text(self.path) as handle:
+            for line in handle:
+                tokens = line.split()
+                if tokens:
+                    yield tokens
+
+
+def read_corpus(path) -> Iterable[list[str]]:
+    return _Documents(path)
 
 
 def read_triples(path) -> list[TripleRecord]:

@@ -541,19 +541,22 @@ def _reread(path, lineno: int, line: str, space, named: bool, order: int | None,
     return order
 
 
-def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], values) -> None:
+def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], values) -> int:
     """Write the '#space' line, ``header`` and each of ``values`` (a row prefix, entries keyed
     by index at order 1, else by index tuples, and their order) as rows in label order, 8192
-    to a ``write``.  Labels are unique, so tuples of ranks sort as tuples of labels do."""
+    to a ``write``; return the number of values that wrote rows.  Labels are unique, so
+    tuples of ranks sort as tuples of labels do."""
     ordered = sorted(used, key=space.labels.__getitem__)
     rank = [0] * len(space)  # a list indexes faster than a dict
     for place, i in enumerate(ordered):
         rank[i] = place
     names = [space.labels[i] for i in ordered]  # by rank
     reprs: dict[float, str] = {}  # weights are nonzero: equal floats have equal reprs
+    written = 0
     with atomic_write(path) as handle:
         handle.write(f"#space\t{space.name}\t{space.kind}\n{header}")
         for prefix, entries, order in values:
+            written += bool(entries)
             new = set(entries.values()).difference(reprs)
             reprs.update(zip(new, map(repr, new)))
             if order == 1:
@@ -568,6 +571,7 @@ def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], va
                         for a, b, c, w in keys)
             while chunk := "".join(islice(rows, 8192)):
                 handle.write(chunk)
+    return written
 
 
 def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
@@ -584,19 +588,26 @@ def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
 
 def save_vectors(
     path: str | os.PathLike, vectors: Mapping[str, SemTensor], space: BasisRegistry
-) -> None:
+) -> int:
     """Write a word -> vector collection as rows ``word<TAB>label<TAB>weight``
-    in label order.  A word starting with '#' (its rows would read as
-    comments) or holding a tab or line break, or a value that is not a vector
-    over ``space``, is refused before any file is written."""
+    in label order, and return the number of words that wrote rows.  A word
+    starting with '#' (its rows would read as comments) or holding a tab or
+    line break is refused before any file is written.  Each value is read
+    once, as its rows are written; one that is not a vector over ``space``
+    raises, and the file is left as it was."""
     words = sorted(vectors)
     for word in words:
         if word[:1] == "#" or _breaks_line(word):
             raise ValueError(f"word {word!r} starts with '#' or holds a tab or line break")
-        if vectors[word].space != space or vectors[word].order != 1:
+
+    def entries(word: str) -> dict:
+        v = vectors[word]
+        if v.space != space or v.order != 1:
             raise SpaceMismatchError(f"{word!r} is not an order-1 tensor over {space.name!r}")
-    values = ((f"{word}\t", vectors[word].entries, 1) for word in words)
-    _write_rows(path, space, "", range(len(space)), values)
+        return v.entries
+
+    values = ((f"{word}\t", entries(word), 1) for word in words)
+    return _write_rows(path, space, "", range(len(space)), values)
 
 
 def load_vectors(

@@ -27,6 +27,7 @@ from gramsem.errors import CompositionError, FileFormatError, SpaceMismatchError
 from gramsem.vectorspace import (
     BasisRegistry,
     SemTensor,
+    _kept,
     atomic_write,
     load_tensor,
     load_vectors,
@@ -222,6 +223,40 @@ def oracle_count_cooccurrence(documents, targets, basis, window):
         for i in seen:
             acc.doc_frequency[i] = acc.doc_frequency.get(i, 0) + 1
     return acc
+
+
+# --- the eager weightings ------------------------------------------------------
+# Copied from the library as it was before a target's vector was weighed when
+# it is looked up: every vector is built at the call.  Only the public names
+# gained the ``oracle_`` prefix.
+
+
+def oracle_raw_vectors(acc: CountAccumulator) -> dict[str, SemTensor]:
+    """Raw counts as vector weights."""
+    return {
+        target: SemTensor._trusted(acc.space, 1, _kept({i: float(c) for i, c in row.items()}))
+        for target, row in acc.counts.items()
+    }
+
+
+def oracle_tfidf(acc: CountAccumulator) -> dict[str, SemTensor]:
+    """TF/IDF weighting: count * ln(doc_count / doc_frequency).
+
+    The natural-log variant is used throughout so reported numbers are
+    reproducible; a basis word seen in every document weighs zero, and one
+    never seen at all also weighs zero.
+    """
+    if acc.doc_count < 1:
+        raise ValueError("tfidf needs at least one counted document")
+    idf = {
+        i: math.log(acc.doc_count / df) if df > 0 else 0.0
+        for i, df in acc.doc_frequency.items()
+    }
+    out: dict[str, SemTensor] = {}
+    for target, row in acc.counts.items():
+        weights = {i: c * idf.get(i, 0.0) for i, c in row.items()}
+        out[target] = SemTensor._trusted(acc.space, 1, _kept(weights))
+    return out
 
 
 # --- the row-by-row file loaders -------------------------------------------

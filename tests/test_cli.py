@@ -5,8 +5,10 @@ import hashlib
 import io
 import math
 import os
+import random
 import shutil
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -98,6 +100,22 @@ def test_build_nouns_errors(tiny_world, capsys):
         "--basis", str(tiny_world / "basis.txt"),
     )
     assert code == 1 and "nope.txt" in err
+
+
+def test_build_nouns_names_its_faults_in_order(tmp_path, capsys):
+    # the window is checked before the corpus is opened, and an empty corpus
+    # is known only once the whole of it has been read
+    (tmp_path / "basis.txt").write_text("red\n", encoding="utf-8")
+    (tmp_path / "blank.txt").write_text("\n  \n", encoding="utf-8")
+    missing, blank, out = tmp_path / "missing.txt", tmp_path / "blank.txt", tmp_path / "nouns.tsv"
+    common = ("--basis", str(tmp_path / "basis.txt"), "--out", str(out))
+    assert run(capsys, "build-nouns", "--corpus", str(missing), "--window", "0", *common) == (
+        1, "", "gramsem: window must be >= 1\n")
+    code, stdout, err = run(capsys, "build-nouns", "--corpus", str(missing), *common)
+    assert (code, stdout) == (1, "") and err.count("\n") == 1 and str(missing) in err
+    assert run(capsys, "build-nouns", "--corpus", str(blank), *common) == (
+        1, "", f"gramsem: corpus file {blank} has no documents\n")
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -1240,6 +1258,32 @@ def test_build_nouns_leaves_out_words_starting_with_hash(tmp_path, capsys):
     assert sorted(load_vectors(out_path, read_basis(tmp_path / "basis.txt", name="N"))) == [
         "cat", "dog",
     ]
+
+
+def test_build_nouns_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
+    # Over one 200-word vocabulary the counts are the same size for 1,000 and
+    # 20,000 documents: the corpus is counted as it is read and each word
+    # weighed as its rows are written, so the traced peak stays put.
+    rng = random.Random(5)
+    vocabulary = [f"w{k}" for k in range(200)]
+    basis = tmp_path / "basis.txt"
+    basis.write_text("".join(f"{word}\n" for word in vocabulary[:50]), encoding="utf-8")
+    peaks = []
+    for n in (1000, 20000):
+        corpus = tmp_path / f"corpus{n}.txt"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for _ in range(n):
+                handle.write(" ".join(rng.choices(vocabulary, k=10)) + "\n")
+        tracemalloc.start()
+        try:
+            code = main(["build-nouns", "--corpus", str(corpus), "--basis", str(basis),
+                         "--out", str(tmp_path / f"nouns{n}.tsv")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert summary_fields(capsys.readouterr().err)["documents"] == str(n)
+    assert peaks[1] - peaks[0] <= 0.5 * 2**20, peaks
 
 
 READER_FAULTS = {

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import SAMPLE_SPACE, sample_vector, show_occurrences, show_oracle_entry
-from oracles import oracle_count_cooccurrence
+from oracles import oracle_count_cooccurrence, oracle_raw_vectors, oracle_tfidf
 from gramsem.corpus import (
     CountAccumulator,
     TripleRecord,
@@ -106,12 +106,17 @@ COUNT_TARGETS = ("b", "c", "a", "f", "ghost")
 @given(
     # a window may be wider than its whole document
     documents=st.lists(st.lists(st.sampled_from(COUNT_TOKENS), max_size=30), max_size=6),
-    targets=st.sets(st.sampled_from(COUNT_TARGETS)),
+    targets=st.none() | st.sets(st.sampled_from(COUNT_TARGETS)),
     window=st.integers(1, 20),
 )
 def test_window_counting_equals_the_neighbour_loop(documents, targets, window):
     acc = count_cooccurrence(documents, targets, COUNT_SPACE, window)
-    expected = oracle_count_cooccurrence(documents, targets, COUNT_SPACE, window)
+    if targets is None:  # every token is a target, and keeps a row even if it saw no basis word
+        tokens = {token for document in documents for token in document}
+        expected = oracle_count_cooccurrence(documents, tokens, COUNT_SPACE, window)
+        expected.counts = {**{token: {} for token in tokens}, **expected.counts}
+    else:
+        expected = oracle_count_cooccurrence(documents, targets, COUNT_SPACE, window)
     assert acc.counts == expected.counts
     assert acc.doc_frequency == expected.doc_frequency
     assert acc.doc_count == expected.doc_count
@@ -203,6 +208,28 @@ def test_raw_vectors():
     assert raw_vectors(acc)["t"].get(0) == 4.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(st.lists(st.sampled_from(COUNT_TOKENS), max_size=30), max_size=6),
+    targets=st.none() | st.sets(st.sampled_from(COUNT_TARGETS)),
+    window=st.integers(1, 20),
+)
+def test_weighting_on_lookup_equals_the_eager_oracles(documents, targets, window):
+    acc = count_cooccurrence(documents, targets, COUNT_SPACE, window)
+    for weighting, oracle in ((raw_vectors, oracle_raw_vectors), (tfidf, oracle_tfidf)):
+        if weighting is tfidf and not documents:
+            with pytest.raises(ValueError):
+                tfidf(acc)
+            continue
+        vectors, expected = dict(weighting(acc)), oracle(acc)
+        assert list(vectors) == list(expected)
+        for word, vector in expected.items():
+            assert vectors[word] == vector
+            assert [*map(repr, vectors[word].entries.items())] == [
+                *map(repr, vector.entries.items())
+            ]
+
+
 # --- tensor builders ------------------------------------------------------------------
 
 
@@ -280,21 +307,10 @@ def test_builders_honour_an_explicit_space():
 def test_read_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("the map showed the location\n\nthe table  showed\n", encoding="utf-8")
-    assert read_corpus(path) == [
-        ["the", "map", "showed", "the", "location"],
-        ["the", "table", "showed"],
-    ]
-
-
-def test_read_corpus_holds_one_string_per_distinct_token(tmp_path):
-    lines = ["the map showed the location", "", "the table  showed", "location map"]
-    path = tmp_path / "corpus.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     documents = read_corpus(path)
-    assert documents == [line.split() for line in lines if line.split()]
-    first: dict[str, str] = {}
-    for token in (token for document in documents for token in document):
-        assert first.setdefault(token, token) is token
+    expected = [["the", "map", "showed", "the", "location"], ["the", "table", "showed"]]
+    assert list(documents) == expected
+    assert list(documents) == expected  # each pass reads the file again
 
 
 def test_read_triples(tmp_path):

@@ -395,6 +395,25 @@ def test_vectors_collection_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_save_vectors_returns_the_number_of_words_written(tmp_path):
+    vectors = {"ant": vec(SPACE3, 0.0, 2.0), "cat": vec(SPACE3, 0.0), "dog": vec(SPACE3, 1.0)}
+    assert save_vectors(tmp_path / "nouns.tsv", vectors, SPACE3) == 2  # cat writes no row
+
+
+@pytest.mark.parametrize("bad", ["another space", "order 2"])
+def test_save_vectors_refuses_a_value_after_a_valid_word(tmp_path, bad):
+    # each value is checked as its rows are written: the rows already written
+    # go with the temporary file, and a file already at the path stays as it was
+    path = tmp_path / "nouns.tsv"
+    save_vectors(path, {"ant": vec(SPACE3, 1.0)}, SPACE3)
+    before = path.read_bytes()
+    value = (vec(BasisRegistry("other", ("a", "b", "c")), 1.0) if bad == "another space"
+             else kronecker(vec(SPACE3, 1.0), vec(SPACE3, 1.0)))
+    with pytest.raises(SpaceMismatchError, match="'dog' is not an order-1 tensor over 'three'"):
+        save_vectors(path, {"cat": vec(SPACE3, 2.0), "dog": value}, SPACE3)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["nouns.tsv"]
+
 def test_save_vectors_refuses_a_word_starting_with_hash(tmp_path):
     # its rows would read back as comments, and the word would be lost
     path = tmp_path / "nouns.tsv"
