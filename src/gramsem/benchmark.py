@@ -77,12 +77,7 @@ class TwoSenseBenchmark(Value):
         self, space: BasisRegistry, grammar: Lexicon, lex: LexicalSemantics,
         dataset: list[SentencePair], documents: list[list[str]], triples: list[TripleRecord],
     ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "grammar", grammar)
-        object.__setattr__(self, "lex", lex)
-        object.__setattr__(self, "dataset", dataset)
-        object.__setattr__(self, "documents", documents)
-        object.__setattr__(self, "triples", triples)
+        super().__init__(space, grammar, lex, dataset, documents, triples)
 
     def write_files(self, directory: str | os.PathLike) -> dict[str, str]:
         """Write corpus/basis/triples/lexicon/dataset files; returns the paths."""

@@ -80,10 +80,10 @@ def _build_tensor(args, kind: str, word: str, records, builders, skipped_key: st
     """
     space = _space_from(args.basis, args.semantics_dir)
     occurrences = [nouns for head, nouns in records(args.triples) if head == word]
-    vectors = vectorspace.load_vectors(  # of the nouns the word occurs with
-        os.path.join(args.semantics_dir, "nouns.tsv"), space, set().union(*occurrences))
     if not occurrences:
         raise GramsemError(f"{kind} {word!r} does not occur in {args.triples}")
+    vectors = vectorspace.load_vectors(  # of the nouns the word occurs with
+        os.path.join(args.semantics_dir, "nouns.tsv"), space, set().union(*occurrences))
     arity = len(occurrences[0])
     kept = [
         tuple(vectors[n] for n in nouns)

@@ -62,8 +62,7 @@ class SentenceMeaning(Value):
             )
         if sentence_space is SentenceSpace.TRUTH and len(value.space) != 2:
             raise ValueError("truth-space meanings need a 2-element basis")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "sentence_space", sentence_space)
+        super().__init__(value, sentence_space)
 
 
 class LexicalSemantics(Value):
@@ -86,9 +85,7 @@ class LexicalSemantics(Value):
         for word, t in tensors.items():
             if t.space != space:
                 raise CompositionError(f"tensor for {word!r} is not in space {space.name!r}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "vectors", dict(vectors))
-        object.__setattr__(self, "tensors", _TensorFiles(space, dict(tensors)))
+        super().__init__(space, dict(vectors), _TensorFiles(space, dict(tensors)))
 
     def vector(self, word: str) -> SemTensor:
         try:

@@ -42,10 +42,7 @@ class TripleRecord(Value):
             raise ValueError("triple needs a non-empty subject and verb")
         if iobj is not None and obj is None:
             raise ValueError("a triple with an indirect object needs a direct object")
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "verb", verb)
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "iobj", iobj)
+        super().__init__(subject, verb, obj, iobj)
 
 
 class CountAccumulator(Value):
@@ -63,10 +60,8 @@ class CountAccumulator(Value):
         self, space: BasisRegistry, counts: dict[str, dict[int, int]] | None = None,
         doc_frequency: dict[int, int] | None = None, doc_count: int = 0,
     ):
-        self.space = space
-        self.counts = {} if counts is None else counts
-        self.doc_frequency = {} if doc_frequency is None else doc_frequency
-        self.doc_count = doc_count
+        super().__init__(space, {} if counts is None else counts,
+                         {} if doc_frequency is None else doc_frequency, doc_count)
 
     def bump(self, target: str, basis_index: int) -> None:
         row = self.counts.setdefault(target, {})

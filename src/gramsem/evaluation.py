@@ -46,20 +46,14 @@ class SentencePair(Value):
             raise ValueError(f"rating {gold_rating} outside [1, 7]")
         if tag is not None and tag not in (HIGH, LOW):
             raise ValueError(f"tag must be HIGH or LOW, got {tag!r}")
-        object.__setattr__(self, "pair_id", pair_id)
-        object.__setattr__(self, "sentence_1", sentence_1)
-        object.__setattr__(self, "sentence_2", sentence_2)
-        object.__setattr__(self, "gold_rating", gold_rating)
-        object.__setattr__(self, "tag", tag)
+        super().__init__(pair_id, sentence_1, sentence_2, gold_rating, tag)
 
 
 class ModelScore(Value):
     _fields = ("mean_high", "mean_low", "rho")
 
     def __init__(self, mean_high: float, mean_low: float, rho: float):
-        object.__setattr__(self, "mean_high", mean_high)
-        object.__setattr__(self, "mean_low", mean_low)
-        object.__setattr__(self, "rho", rho)
+        super().__init__(mean_high, mean_low, rho)
 
 
 class ExperimentReport(Value):
@@ -67,8 +61,7 @@ class ExperimentReport(Value):
 
     def __init__(self, scores: Mapping[str, ModelScore],
                  degenerate: Mapping[str, str] | None = None):
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "degenerate", {} if degenerate is None else degenerate)
+        super().__init__(scores, {} if degenerate is None else degenerate)
 
     def table(self) -> str:
         lines = [f"{'Model':<14}{'High':>8}{'Low':>8}{'rho':>8}"]

@@ -29,8 +29,7 @@ class AtomicType(Value):
     def __init__(self, base: str, adjoint_order: int = 0):
         if not base:
             raise ValueError("base symbol must be non-empty")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "adjoint_order", adjoint_order)
+        super().__init__(base, adjoint_order)
 
     def __str__(self) -> str:
         z = self.adjoint_order
@@ -55,13 +54,10 @@ class PregroupType(Value):
     _fields = ("atoms",)
 
     def __init__(self, atoms: Iterable[AtomicType] = ()):
-        object.__setattr__(self, "atoms", tuple(atoms))
+        super().__init__(tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.atoms) if self.atoms else "1"
@@ -117,7 +113,7 @@ class Lexicon(Value):
             if not word or not types:
                 raise LexiconError(f"word {word!r} needs at least one type")
             frozen[word] = types
-        object.__setattr__(self, "entries", frozen)
+        super().__init__(frozen)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str | PregroupType]]) -> "Lexicon":
@@ -218,9 +214,7 @@ class ReductionResult(Value):
             linked.add(i)
             linked.add(j)
         residual = PregroupType(tuple(a for pos, a in enumerate(atoms) if pos not in linked))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "residual", residual)
+        super().__init__(atoms, links, residual)
 
 
 def cancels(x: AtomicType, y: AtomicType) -> bool:

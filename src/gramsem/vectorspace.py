@@ -41,12 +41,9 @@ class BasisRegistry(Value):
             raise ValueError(f"space name {name!r} is empty or holds a tab or line break")
         if kind not in (PLAIN, STRUCTURED):
             raise ValueError(f"unknown basis kind: {kind!r}")
-        labels = tuple(labels)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "kind", kind)
+        super().__init__(name, tuple(labels), kind)
         index: dict[str, int] = {}
-        for i, label in enumerate(labels):
+        for i, label in enumerate(self.labels):
             if not label:
                 raise ValueError("basis labels must be non-empty")
             if label[0] == "#" or _breaks_line(label):  # its rows would read as comments, or split
@@ -125,20 +122,15 @@ class SemTensor(Value):
             if len(key) != order:
                 raise ValueError(f"index tuple {key} does not match order {order}")
             clean[key[0] if order == 1 else key] = float(w)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", _kept(clean))
+        super().__init__(space, order, _kept(clean))
 
     @classmethod
     def _trusted(cls, space: BasisRegistry, order: int, entries: dict) -> "SemTensor":
         """Wrap a dict the library just built, keyed by indices valid in ``space``
         (bare at order 1), with finite nonzero float weights; nothing is
-        re-checked, so it never takes a mapping from a caller.  Set one by one,
-        the attributes leave the instance dict unbuilt: ~150 bytes less (CPython 3.11)."""
+        re-checked, so it never takes a mapping from a caller."""
         t = object.__new__(cls)
-        object.__setattr__(t, "space", space)
-        object.__setattr__(t, "order", order)
-        object.__setattr__(t, "entries", entries)
+        Value.__init__(t, space, order, entries)
         return t
 
     def get(self, key) -> float:
@@ -541,12 +533,12 @@ def _reread(path, lineno: int, line: str, space, named: bool, order: int | None,
     return order
 
 
-def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], values) -> int:
+def _write_rows(path, space: BasisRegistry, header: str, values) -> int:
     """Write the '#space' line, ``header`` and each of ``values`` (a row prefix, entries keyed
     by index at order 1, else by index tuples, and their order) as rows in label order, 8192
     to a ``write``; return the number of values that wrote rows.  Labels are unique, so
     tuples of ranks sort as tuples of labels do."""
-    ordered = sorted(used, key=space.labels.__getitem__)
+    ordered = sorted(range(len(space)), key=space.labels.__getitem__)
     rank = [0] * len(space)  # a list indexes faster than a dict
     for place, i in enumerate(ordered):
         rank[i] = place
@@ -575,8 +567,7 @@ def _write_rows(path, space: BasisRegistry, header: str, used: Iterable[int], va
 
 
 def save_tensor(path: str | os.PathLike, t: SemTensor) -> None:
-    used = set(t.entries) if t.order == 1 else set(chain.from_iterable(t.entries))
-    _write_rows(path, t.space, f"#order\t{t.order}\n", used, [("", t.entries, t.order)])
+    _write_rows(path, t.space, f"#order\t{t.order}\n", [("", t.entries, t.order)])
 
 
 def load_tensor(path: str | os.PathLike, space: BasisRegistry) -> SemTensor:
@@ -607,7 +598,7 @@ def save_vectors(
         return v.entries
 
     values = ((f"{word}\t", entries(word), 1) for word in words)
-    return _write_rows(path, space, "", range(len(space)), values)
+    return _write_rows(path, space, "", values)
 
 
 def load_vectors(

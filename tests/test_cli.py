@@ -756,6 +756,27 @@ def test_a_bad_row_of_a_word_no_command_keeps_ends_it(benchmark_files, tmp_path,
     assert not os.path.exists(tmp_path / "report.tsv") and not os.path.exists(tmp_path / "storm.tsv")
 
 
+@pytest.mark.parametrize("command, kind", [("build-verb", "verb"), ("build-adj", "adjective")])
+def test_a_word_absent_from_the_records_is_named_before_a_bad_nouns_row(
+        benchmark_files, tmp_path, capsys, command, kind):
+    # The records file is read first: a word it does not hold ends the command
+    # before any row of nouns.tsv is parsed.
+    _, paths = benchmark_files
+    records = paths["triples"]
+    if kind == "adjective":
+        records = str(tmp_path / "adjectives.tsv")
+        (tmp_path / "adjectives.tsv").write_text("fierce\tknight\nfierce\tarmy\n", encoding="utf-8")
+    sem = tmp_path / "sem"
+    shutil.copytree(paths["semantics"], sem)
+    with open(sem / "nouns.tsv", "a", encoding="utf-8") as handle:
+        handle.write("knight\tnope\t1.0\n")
+    code, out, err = run(capsys, command, "zzz", "--triples", records,
+                         "--basis", paths["basis"], "--semantics-dir", str(sem))
+    assert (code, out) == (1, "")
+    assert err == f"gramsem: {kind} 'zzz' does not occur in {records}\n"
+    assert not os.path.exists(sem / f"{kind}s" / "zzz.tsv")
+
+
 @pytest.mark.parametrize("command", ["add", "categorical", "eval"])
 def test_a_nouns_header_naming_another_space_fails_at_load(toy_world, capsys, command):
     # the space comes from nouns.tsv's header; a tensor file of the basis's

@@ -265,6 +265,9 @@ def test_sentence_meaning_validation():
     space = BasisRegistry("s", ("x", "y"))
     with pytest.raises(ValueError):
         SentenceMeaning(SemTensor(space, 2, {}), SentenceSpace.N)
+    three = BasisRegistry("t", ("x", "y", "z"))
+    with pytest.raises(ValueError, match="2-element basis"):
+        SentenceMeaning(SemTensor(three, 1, {}), SentenceSpace.TRUTH)
 
 
 # --- whole-sentence composition ---------------------------------------------------
@@ -414,6 +417,7 @@ def test_truth_meaning_projection():
 def test_semantics_directory_round_trip(tmp_path):
     lex = toy_semantics()
     save_semantics(tmp_path, lex, adjectives=["fluffy", "shrewd"])
+    (tmp_path / "verbs" / "notes.txt").write_text("not a tensor file\n", encoding="utf-8")
     loaded = load_semantics(tmp_path, TOY_SPACE)
     assert loaded.vectors == lex.vectors
     assert loaded.tensors == lex.tensors
@@ -441,6 +445,8 @@ def test_lexical_semantics_validation():
     other = BasisRegistry("o", ("x",))
     with pytest.raises(CompositionError):
         LexicalSemantics(TOY_SPACE, {"w": WeightedVector(other, {0: 1.0})}, {})
+    with pytest.raises(CompositionError, match="tensor for 'v' is not in space"):
+        LexicalSemantics(TOY_SPACE, {}, {"v": SemTensor(other, 2, {(0, 0): 1.0})})
     lex = toy_semantics()
     with pytest.raises(CompositionError):
         lex.vector("missing")

@@ -129,6 +129,8 @@ def test_high_low_means():
         high_low_means([_pair("1", HIGH)], [1.0])
     with pytest.raises(ValueError):
         high_low_means([_pair("1", None)], [1.0])
+    with pytest.raises(ValueError, match="must align"):
+        high_low_means(pairs, [0.5, 0.5])
 
 
 # --- model similarities --------------------------------------------------------------

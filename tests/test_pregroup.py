@@ -67,6 +67,8 @@ def test_atom_formatting_and_parsing():
         parse_atom("n^x")
     with pytest.raises(LexiconError):
         parse_type("")
+    with pytest.raises(ValueError, match="non-empty"):
+        AtomicType("")
 
 
 def test_empty_type_prints_as_unit():
