@@ -6,7 +6,7 @@ transitive sentence lives in the pair space over N, an intransitive one in
 N itself and a ditransitive one in the triple space.  Meanings from smaller
 spaces embed into larger ones by padding missing argument axes with the
 superposition of all basis vectors, which leaves cosines between same-order
-meanings unchanged.
+meanings unchanged; the padded meaning is a view of the smaller one's entries.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
 
     Equivalent to tensoring with the superposition of all basis vectors on
     the missing object axis; cosines between same-order meanings survive
-    unchanged because inner products and norms scale uniformly.
+    unchanged because inner products and norms scale uniformly.  The result's
+    entries are a read-only view of m's, d of them for each, none copied.
     """
     if m.sentence_space is not SentenceSpace.N:
         raise CompositionError("only N meanings embed into the pair space")
@@ -208,7 +209,8 @@ def embed_to_transitive(m: SentenceMeaning) -> SentenceMeaning:
 
 
 def embed_to_ditransitive(m: SentenceMeaning) -> SentenceMeaning:
-    """Pad an N or pair-space meaning into the triple space the same way."""
+    """Pad an N or pair-space meaning into the triple space the same way, by a
+    view of its entries: d**m of them for each (m the added axes), none copied."""
     if m.sentence_space not in (SentenceSpace.N, SentenceSpace.N2):
         raise CompositionError("only N and N*N meanings embed into the triple space")
     return SentenceMeaning(_padded(m.value, 3), SentenceSpace.N3)

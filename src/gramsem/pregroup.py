@@ -8,8 +8,9 @@ its types, written one after another, cancel down to the lone sentence atom.
 
 Reduction here is the eager single pass: the string is scanned left to
 right and an incoming atom cancels the top of a stack whenever it can.
-The lexicons used in this package never need backtracking; richer grammars
-with iterated adjoints may (a documented limitation).
+The standard noun, verb and adjective types never need backtracking; other
+types may, even with single adjoints: for ``s n^l | n | n^r n`` the pass
+leaves ``s n^r n``, though cancelling ``n n^r`` first leaves ``s``.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def reduce(types: Sequence[PregroupType]) -> ReductionResult:
     """Eagerly reduce a sequence of word types in one left-to-right pass.
 
     Each incoming atom either cancels the current stack top (recording a
-    link) or is pushed.  Deterministic, no backtracking; non-sentences
-    simply come out with a residual other than the sentence atom.
+    link) or is pushed.  Deterministic, no backtracking: a residual other
+    than the sentence atom may hide a linking that leaves only it.
     """
     if not types:
         raise ValueError("cannot reduce an empty sequence of types")

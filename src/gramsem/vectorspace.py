@@ -12,9 +12,10 @@ import math
 import operator
 import os
 import tempfile
+from collections.abc import Mapping
 from contextlib import contextmanager
 from itertools import chain, islice, product, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,6 +110,7 @@ class SemTensor(Value):
     intransitive verbs and adjectives, keyed by basis index (the constructor
     takes 1-tuples).  Order-2 tensors hold transitive-verb (and general
     adjective) weights, order-3 ditransitive weights, keyed by index tuples.
+    ``entries`` is a dict, or a padded meaning's read-only view (``_padded``).
     """
 
     _fields = ("space", "order", "entries")
@@ -125,10 +127,10 @@ class SemTensor(Value):
         super().__init__(space, order, _kept(clean))
 
     @classmethod
-    def _trusted(cls, space: BasisRegistry, order: int, entries: dict) -> "SemTensor":
-        """Wrap a dict the library just built, keyed by indices valid in ``space``
-        (bare at order 1), with finite nonzero float weights; nothing is
-        re-checked, so it never takes a mapping from a caller."""
+    def _trusted(cls, space: BasisRegistry, order: int, entries: dict | _Padded) -> "SemTensor":
+        """Wrap a dict the library just built, or a padded meaning's view, keyed by
+        indices valid in ``space`` (bare at order 1), with finite nonzero float
+        weights; nothing is re-checked, so it never takes a mapping from a caller."""
         t = object.__new__(cls)
         Value.__init__(t, space, order, entries)
         return t
@@ -209,12 +211,12 @@ def scale(v: SemTensor, factor: float) -> SemTensor:
 def inner(v: SemTensor, w: SemTensor) -> float:
     """Sum of products over shared coordinates (the cup contraction).
 
-    Iterates shared keys in sorted order so the result is deterministic and
-    exactly symmetric in its arguments.
+    Probes the larger operand's keys with the smaller's (a padded view is not
+    listed), then sums in sorted key order: deterministic, exactly symmetric.
     """
     _check_same_space(v, w)
     a, b = v.entries, w.entries
-    keys = sorted(a.keys() & b.keys())
+    keys = sorted(a.keys() & b.keys() if len(a) >= len(b) else b.keys() & a.keys())
     return sum(map(operator.mul, map(a.__getitem__, keys), map(b.__getitem__, keys)))
 
 
@@ -227,19 +229,45 @@ def norm(v: SemTensor) -> float:
     return length
 
 
+class _Padded(Mapping):
+    """A read-only view of ``base``, an order-``order`` tensor's entries, with m added
+    axes: ``head + rest`` holds the weight at ``head`` for each ``rest`` in range(d)**m.
+    Keys come in the order of a copy built from the sorted heads; none is stored."""
+
+    def __init__(self, base: Mapping, order: int, m: int, d: int):
+        self.base, self.order, self.m, self.axis = base, order, m, range(d)
+
+    def __getitem__(self, key) -> float:
+        n, m = self.order, self.m  # an added index matches as in a copy: == an int in range(d)
+        if isinstance(key, tuple) and len(key) == n + m and all(i in self.axis for i in key[n:]):
+            w = self.base.get(key[0] if n == 1 else key[:n])
+            if w is not None:
+                return w
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        axes = [self.axis] * self.m
+        for head in sorted(self.base):
+            yield from product(*([(head,)] if self.order == 1 else [(i,) for i in head]), *axes)
+
+    def __len__(self) -> int:
+        return len(self.base) * len(self.axis)**self.m
+
+    def __eq__(self, other) -> bool:  # Mapping's copies both sides into dicts first
+        return (isinstance(other, Mapping) and len(self) == len(other)
+                and all(other.get(k) == w for k, w in self.items()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def _padded(t: SemTensor, order: int) -> SemTensor:
-    """``t`` in the order-``order`` space, its m added axes spanning the d basis
-    indices.  Built in sorted key order, the copy repeats each weight d**m times,
-    so its norm is summed from ``t``: bitwise ``norm``'s, as sqrt(d**m) * |t| is not."""
+    """``t`` in the order-``order`` space, its m added axes spanning the d basis indices,
+    as a view of ``t``'s entries.  Its norm sums each square of ``t`` d**m times in sorted
+    key order: bitwise the padded copy's ``norm``, as sqrt(d**m) * |t| is not."""
     d, m = len(t.space), order - t.order
-    axes = [range(d)] * m
-    items = sorted(t.entries.items())
-    entries: dict[tuple[int, ...], float] = {}
-    for key, w in items:
-        head = [(key,)] if t.order == 1 else [(i,) for i in key]
-        entries.update(zip(product(*head, *axes), repeat(w)))
-    padded = SemTensor._trusted(t.space, order, entries)
-    squares = chain.from_iterable(repeat(w * w, d**m) for _, w in items)
+    padded = SemTensor._trusted(t.space, order, _Padded(t.entries, t.order, m, d))
+    squares = chain.from_iterable(repeat(w * w, d**m) for _, w in sorted(t.entries.items()))
     padded.__dict__["_norm"] = math.sqrt(sum(squares))
     return padded
 

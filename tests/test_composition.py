@@ -1,6 +1,10 @@
 """Unit tests for meaning composition, embeddings and the truth model."""
 
 import math
+import os
+import tempfile
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -43,7 +47,9 @@ from gramsem.vectorspace import (
     WeightedVector,
     add,
     cosine,
+    inner,
     norm,
+    save_tensor,
     scale,
 )
 
@@ -228,6 +234,32 @@ def test_padding_equals_the_naive_copy(data, orders, d):
     assert cosine(embed(meaning).value, b) == cosine(expected, b)
     assert cosine(embed(meaning).value, SemTensor(space, high, expected.entries)) == 1.0
 
+    # The padded meaning is a view of a's entries; read as a mapping it is the copy.
+    view, copy = padded.entries, expected.entries
+    assert len(view) == len(copy)
+    assert view == copy and copy == view and padded == expected and expected == padded
+    changed = dict(copy)
+    key = next(iter(changed))
+    changed[key] = -changed[key]
+    assert view != changed and changed != view
+    m = high - low
+    head = min(keyed_by_tuples(a))
+    absent = next((k for k in product(range(d), repeat=low) if k not in keyed_by_tuples(a)), None)
+    probes = [*keyed_by_tuples(b), head + (d,) * m, head + (-1,) + (0,) * (m - 1),
+              head + (0,) * (m - 1), head + (0,) * (m + 1), (0,) * (high + 1), head + (0.0,) * m]
+    if absent is not None:
+        probes.append(absent + (0,) * m)
+    assert [k in view for k in probes] == [k in copy for k in probes]
+    assert repr(padded) == repr(expected)
+    assert cosine(b, padded) == cosine(padded, b)
+    assert inner(b, padded) == inner(padded, b) == inner(expected, b)
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name) for name in ("view.tsv", "copy.tsv")]
+        save_tensor(paths[0], padded)
+        save_tensor(paths[1], expected)
+        with open(paths[0], "rb") as saved_view, open(paths[1], "rb") as saved_copy:
+            assert saved_view.read() == saved_copy.read()
+
 
 def test_padded_norm_is_the_sorted_sum_of_its_squares():
     space = BasisRegistry("d5", tuple("abcde"))
@@ -236,6 +268,30 @@ def test_padded_norm_is_the_sorted_sum_of_its_squares():
     assert norm(padded) == oracle_pad(a, 2)[1] == 14.37184748040418
     # the same norm as sqrt(d**m) * |a| is an ulp off
     assert math.sqrt(5) * norm(a) == 14.371847480404183
+
+
+def test_padding_across_orders_stores_no_padded_entry():
+    # 17 entries of order 1 against 17**3 = 4913 of order 3 at d = 200: a
+    # padded copy would hold 17 * 200**2 = 680,000 entries (about 60 MiB).
+    space = BasisRegistry("d200", tuple(f"b{i}" for i in range(200)))
+    support = range(3, 200, 12)
+    n = SentenceMeaning(SemTensor(space, 1, {(i,): 1.0 + i / 7 for i in support}), SentenceSpace.N)
+    n3 = SentenceMeaning(
+        SemTensor(space, 3, {(i, j, k): (i - j) / (1 + k) or 0.5
+                             for i in support for j in support for k in support}),
+        SentenceSpace.N3,
+    )
+    tracemalloc.start()
+    try:
+        padded, same = align_orders(n, n3)
+        score = cosine(padded.value, same.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(padded.value.entries) == 17 * 200**2
+    expected, _ = oracle_pad(n.value, 3)
+    assert score == cosine(expected, n3.value)
 
 
 def test_align_orders():

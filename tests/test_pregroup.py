@@ -101,6 +101,17 @@ def test_reduce_scrambled_order_is_not_a_sentence():
     assert (S,) not in reachable_residuals(types)
 
 
+def test_single_adjoints_can_need_backtracking():
+    # The eager pass cancels n^l n and is left with s n^r n; cancelling n n^r
+    # first, then n^l n, leaves s.  So a residual other than s does not prove
+    # that a string of single-adjoint types is not a sentence.
+    types = [parse_type("s n^l"), parse_type("n"), parse_type("n^r n")]
+    result = reduce(types)
+    assert result.residual.atoms == parse_type("s n^r n").atoms
+    assert not is_sentence(result)
+    assert reachable_residuals(types) == {(S,), result.residual.atoms}
+
+
 def test_reduce_rejects_empty_input():
     with pytest.raises(ValueError):
         reduce([])
